@@ -531,6 +531,10 @@ def cmd_simulate(cfg):
     return 0
 
 
+class _RunError(Exception):
+    """A ValueError raised while the filter runs on validated inputs."""
+
+
 def cmd_filter(cfg):
     """Run a filter over a measurement file, write summary CSVs."""
     kind = cfg["model"]["kind"]
@@ -544,6 +548,9 @@ def cmd_filter(cfg):
         times, ys = series.times, series.counts
     else:
         times, ys = read_measurement_series(meas_path)
+    if times[0] <= 0.0:
+        raise ConfigError("measurement times must be positive (the filter "
+                          "starts at t = 0) in %s" % meas_path)
 
     built = _BUILDERS[kind](cfg)
     filt = cfg["filter"]
@@ -563,10 +570,14 @@ def cmd_filter(cfg):
             dumps[k] = (pset.states.copy(), pset.log_weights.copy(),
                         None if pset.stats is None else pset.stats.copy())
 
-    result = run_filter(built["model"], built["proposal"], built["meas"],
-                        times, ys, fc, method=built["method"],
-                        family=built["family"], cond_fn=built["cond_fn"],
-                        step_callback=callback)
+    try:
+        result = run_filter(built["model"], built["proposal"], built["meas"],
+                            times, ys, fc, method=built["method"],
+                            family=built["family"], cond_fn=built["cond_fn"],
+                            step_callback=callback)
+    except ValueError as exc:
+        # The inputs were validated above, so this came from the run.
+        raise _RunError(exc) from exc
 
     out = cfg["io"]["out"]
     os.makedirs(out, exist_ok=True)
@@ -773,7 +784,7 @@ def main(argv=None):
     except (ConfigError, ValueError) as exc:
         print("configuration error: %s" % exc, file=sys.stderr)
         return 2
-    except (DegeneracyError, IntegrationError, SingularMatrixError,
+    except (_RunError, DegeneracyError, IntegrationError, SingularMatrixError,
             DiffusionError) as exc:
         print("numerical failure: %s" % exc, file=sys.stderr)
         return 3

@@ -1,10 +1,13 @@
 """Particle sets, weight bookkeeping, resampling and filter loops.
 
 Weights are carried in log domain and normalized after every measurement
-update.  Each particle slot owns its own random generator derived from a
-single master seed, and resampling uses a dedicated generator, so runs
-are reproducible and independent of how the particle batch is chunked
-across worker threads.
+update.  All randomness comes from one seed tree: the master seed spawns
+four generators, for initial states, Brownian noise, resampling and
+summaries.  Each interval draws one standard-normal block for the whole
+population on the calling thread, before the particles are split into
+chunks, and each chunk propagates with its slot slice of that block.  So
+runs are reproducible, independent of the thread count, and the noise
+drawn does not depend on whether resampling happened.
 """
 
 import concurrent.futures
@@ -13,8 +16,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .exceptions import DegeneracyError, IntegrationError
-from .girsanov import ImportanceSpec, propagate_coupled, propagate_coupled_split
-from .sde import BrownianIncrements, SdeModel, SplitSdeModel, TimeGrid
+from .girsanov import propagate_coupled, propagate_coupled_split
+from .sde import BrownianIncrements, SplitSdeModel, TimeGrid
 
 __all__ = [
     "Particle", "ParticleSet", "MeasurementModel", "StepStats",
@@ -51,8 +54,6 @@ class ParticleSet:
         states: sampled states, shape (N, n).  For split models this is
             the concatenated (x1, x2) state.
         log_weights: normalized log weights, shape (N,).
-        streams: list of N numpy Generators, one per particle slot.
-            Streams stay bound to slots across resampling.
         step_index: number of measurement updates applied so far.
         gauss: optional marginalized Gaussian block (mean (N, p),
             cov (N, p, p)).
@@ -61,7 +62,6 @@ class ParticleSet:
 
     states: np.ndarray
     log_weights: np.ndarray
-    streams: list
     step_index: int = 0
     gauss: object = None
     stats: object = None
@@ -80,15 +80,11 @@ class ParticleSet:
         return Particle(self.states[i], float(self.log_weights[i]), g, s)
 
     def take(self, idx):
-        """Sub-population view for chunked execution (idx slice or array)."""
-        if isinstance(idx, slice):
-            streams = self.streams[idx]
-        else:
-            streams = [self.streams[i] for i in np.asarray(idx)]
+        """Sub-population (idx slice or index array), payloads included."""
         gauss = None if self.gauss is None \
             else type(self.gauss)(self.gauss.mean[idx], self.gauss.cov[idx])
         stats = None if self.stats is None else self.stats[idx]
-        return ParticleSet(self.states[idx], self.log_weights[idx], streams,
+        return ParticleSet(self.states[idx], self.log_weights[idx],
                            self.step_index, gauss, stats)
 
 
@@ -140,52 +136,57 @@ class StepStats:
     log_ml_increment: float
 
 
-def seed_streams(seed, n_particles):
-    """Independent generators for particle slots plus helpers.
+def seed_streams(seed):
+    """The run's generators, one per use of randomness.
 
     Args:
         seed: master seed (int or SeedSequence entropy).
-        n_particles: number of particle slots.
 
     Returns:
-        (streams, resample_rng, summary_rng): per-slot generators, the
-        generator used for resampling draws, and a generator for summary
-        sampling (e.g. posterior quantiles).
+        (init_rng, noise_rng, resample_rng, summary_rng), the four
+        children of SeedSequence(seed): initial state draws, Brownian
+        noise blocks, resampling draws and summary sampling (e.g.
+        posterior quantiles).
     """
-    children = np.random.SeedSequence(seed).spawn(n_particles + 2)
-    streams = [np.random.default_rng(c) for c in children[:n_particles]]
-    return streams, np.random.default_rng(children[n_particles]), \
-        np.random.default_rng(children[n_particles + 1])
+    return tuple(np.random.default_rng(c)
+                 for c in np.random.SeedSequence(seed).spawn(4))
 
 
-def init_particle_set(sampler, streams, *, gauss=None, stats=None):
+def init_particle_set(sampler, rng, n, *, gauss=None, stats=None):
     """Draw an equally weighted initial population.
 
     Args:
-        sampler: callable rng -> one state draw (n,).
-        streams: per-slot generators (one draw is taken from each).
+        sampler: callable rng -> one state draw (d,); called n times in
+            slot order on rng.
+        rng: numpy Generator for the initial draws.
+        n: number of particles.
         gauss: optional initial Gaussian block payload.
         stats: optional initial sufficient statistics (N, ...).
 
     Returns:
         ParticleSet with uniform weights.
     """
-    states = np.stack([np.asarray(sampler(g), dtype=float) for g in streams])
+    states = np.stack([np.asarray(sampler(rng), dtype=float)
+                       for _ in range(n)])
     if states.ndim == 1:
         states = states[:, None]
     if not np.all(np.isfinite(states)):
         raise IntegrationError("initial sampler produced non-finite states")
-    n = states.shape[0]
     lw = np.full(n, -np.log(n))
-    return ParticleSet(states, lw, list(streams), 0, gauss, stats)
+    return ParticleSet(states, lw, 0, gauss, stats)
 
 
-def draw_increments(grid, diffusion, streams):
-    """Per-slot Brownian increments for one interval, one stream each."""
+def draw_increments(grid, diffusion, noise_rng, n):
+    """Brownian increments for one interval, one (n_steps, s) path per slot.
+
+    The whole (n, n_steps, s) standard-normal block is one draw from
+    noise_rng, so slot i's path is the same however the slots are later
+    split into chunks.
+    """
     dim = diffusion.dim
     if dim is None:
         dim = diffusion.at(grid.t0).shape[0]
-    noise = np.stack([g.standard_normal((grid.n_steps, dim)) for g in streams])
+    noise = noise_rng.standard_normal((n, grid.n_steps, dim))
     return BrownianIncrements.from_noise(grid, diffusion, noise)
 
 
@@ -248,9 +249,9 @@ def systematic_resample_indices(weights, rng):
 def systematic_resample(pset, rng):
     """Resample a particle set back to uniform weights.
 
-    States and per-particle payloads are reordered by ancestry; streams
-    stay bound to their slots so subsequent draws do not depend on the
-    resampling outcome.
+    States and per-particle payloads are reordered by ancestry.  Noise
+    comes from its own generator in a block of fixed size, so later
+    draws do not depend on the resampling outcome.
 
     Args:
         pset: ParticleSet with normalized log weights.
@@ -260,12 +261,9 @@ def systematic_resample(pset, rng):
         New ParticleSet with weights 1/N.
     """
     idx = systematic_resample_indices(np.exp(pset.log_weights), rng)
-    gauss = None if pset.gauss is None \
-        else type(pset.gauss)(pset.gauss.mean[idx], pset.gauss.cov[idx])
-    stats = None if pset.stats is None else pset.stats[idx]
-    lw = np.full(pset.n, -np.log(pset.n))
-    return ParticleSet(pset.states[idx], lw, pset.streams, pset.step_index,
-                       gauss, stats)
+    out = pset.take(idx)
+    out.log_weights = np.full(pset.n, -np.log(pset.n))
+    return out
 
 
 def finish_step(pset, new_states, llr, loglik, t, *, gauss=None, stats=None,
@@ -295,7 +293,7 @@ def finish_step(pset, new_states, llr, loglik, t, *, gauss=None, stats=None,
     lw = lw_un - log_ml_inc
     w = np.exp(lw)
     ess = float(1.0 / np.sum(w * w))
-    out = ParticleSet(new_states, lw, pset.streams, k, gauss, stats)
+    out = ParticleSet(new_states, lw, k, gauss, stats)
     resampled = ess < ess_threshold * pset.n
     if resampled:
         if resample_rng is None:
@@ -305,8 +303,43 @@ def finish_step(pset, new_states, llr, loglik, t, *, gauss=None, stats=None,
                           log_ml_increment=log_ml_inc)
 
 
-def sir_step(pset, model, imp, meas_model, y, grid, *, ess_threshold=0.5,
-             resample_rng=None):
+def _propagate(pset, model, builder, y, grid, noise_rng, threads=1):
+    """Draw one interval's noise block and propagate every particle.
+
+    The block is drawn here, before the particles are chunked; each
+    chunk builds its proposal and propagates with its slot slice of it.
+
+    Args:
+        pset: ParticleSet before the interval.
+        model: SdeModel, or SplitSdeModel (states hold (x1, x2)).
+        builder: callable (chunk, grid, y) -> ImportanceSpec.
+        y: measurement at grid.t1 (passed to the builder).
+        grid: TimeGrid of the interval.
+        noise_rng: generator for the noise block.
+        threads: worker threads for the propagation.
+
+    Returns:
+        (states (N, n), llr (N,)).
+    """
+    incs = draw_increments(grid, model.diffusion, noise_rng, pset.n)
+    split = isinstance(model, SplitSdeModel)
+
+    def phase(sl):
+        chunk = pset.take(sl)
+        imp = builder(chunk, grid, y)
+        if split:
+            x1, x2 = model.split(chunk.states)
+            res = propagate_coupled_split(model, imp, x1, x2, grid,
+                                          incs.values[sl])
+            return np.concatenate([res.state_det, res.state_stoch], -1), res.llr
+        res = propagate_coupled(model, imp, chunk.states, grid, incs.values[sl])
+        return res.state, res.llr
+
+    return _chunk_map(pset, threads, phase)
+
+
+def sir_step(pset, model, imp, meas_model, y, grid, *, builder=None,
+             ess_threshold=0.5, resample_rng=None, noise_rng, threads=1):
     """One measurement cycle of the sequential importance resampling filter.
 
     Propagates every particle under the importance SDE over the interval,
@@ -316,32 +349,29 @@ def sir_step(pset, model, imp, meas_model, y, grid, *, ess_threshold=0.5,
 
     Args:
         pset: current ParticleSet (states (N, n)).
-        model: SdeModel.
-        imp: ImportanceSpec for this interval.
+        model: SdeModel, or SplitSdeModel with (x1, x2) concatenated.
+        imp: ImportanceSpec for this interval; ignored when a builder
+            is given.
         meas_model: MeasurementModel for y.
         y: measurement value at grid.t1.
         grid: TimeGrid from the previous measurement time to this one.
+        builder: optional callable (chunk, grid, y) -> ImportanceSpec.
+        noise_rng: generator for the interval's noise block.
 
     Returns:
         (ParticleSet, StepStats).
     """
-    incs = draw_increments(grid, model.diffusion, pset.streams)
-    res = propagate_coupled(model, imp, pset.states, grid, incs)
-    loglik = np.asarray(meas_model.log_likelihood(y, res.state), dtype=float)
-    return finish_step(pset, res.state, res.llr, loglik, grid.t1,
-                       ess_threshold=ess_threshold, resample_rng=resample_rng)
-
-
-def sir_split_step(pset, model, imp, meas_model, y, grid, *,
-                   ess_threshold=0.5, resample_rng=None):
-    """sir_step for split models; pset.states holds (x1, x2) concatenated."""
-    x1, x2 = model.split(pset.states)
-    incs = draw_increments(grid, model.diffusion, pset.streams)
-    res = propagate_coupled_split(model, imp, x1, x2, grid, incs)
-    states = np.concatenate([res.state_det, res.state_stoch], axis=-1)
+    if builder is None:
+        builder = lambda chunk, g, yy: imp
+    states, llr = _propagate(pset, model, builder, y, grid, noise_rng,
+                             threads)
     loglik = np.asarray(meas_model.log_likelihood(y, states), dtype=float)
-    return finish_step(pset, states, res.llr, loglik, grid.t1,
+    return finish_step(pset, states, llr, loglik, grid.t1,
                        ess_threshold=ess_threshold, resample_rng=resample_rng)
+
+
+# sir_step dispatches on the model type; the split name is kept for callers.
+sir_split_step = sir_step
 
 
 @dataclass
@@ -354,7 +384,8 @@ class FilterConfig:
         ess_threshold: resampling trigger as a fraction of N.
         seed: master seed; all randomness derives from it.
         threads: worker threads for the propagation phase.  Results are
-            identical for any thread count.
+            identical for any thread count: each interval's noise block
+            is drawn before the particles are split across threads.
         t0: time of the initial state (first interval is [t0, times[0]]).
         theta_samples: per-particle draws used for posterior parameter
             quantile summaries in the conjugate filter.
@@ -391,20 +422,19 @@ class FilterResult:
 
 
 def _chunk_map(pset, threads, phase):
-    """Run a propagation phase over contiguous particle chunks.
+    """Run a propagation phase over contiguous slot ranges.
 
-    phase maps a sub-ParticleSet to a tuple of arrays (leading axis is
-    the particle axis); outputs are concatenated in slot order, so the
+    phase maps a slot slice of pset to a tuple of arrays (leading axis
+    is the particle axis); outputs are concatenated in slot order, so the
     result does not depend on the number of threads.
     """
     n = pset.n
     if threads <= 1 or n < 2 * threads:
-        return phase(pset)
+        return phase(slice(None))
     bounds = np.linspace(0, n, threads + 1).astype(int)
-    chunks = [pset.take(slice(a, b)) for a, b in zip(bounds[:-1], bounds[1:])
-              if b > a]
+    slices = [slice(a, b) for a, b in zip(bounds[:-1], bounds[1:]) if b > a]
     with concurrent.futures.ThreadPoolExecutor(max_workers=threads) as ex:
-        parts = list(ex.map(phase, chunks))
+        parts = list(ex.map(phase, slices))
     return tuple(np.concatenate(cols, axis=0) for cols in zip(*parts))
 
 
@@ -463,12 +493,13 @@ def run_filter(model, proposal, meas_model, times, ys, config, *,
         raise ValueError("ys must align with times")
 
     builder = proposal if callable(proposal) else (lambda pset, grid, y: proposal)
-    streams, resample_rng, summary_rng = seed_streams(config.seed,
-                                                      config.n_particles)
+    init_rng, noise_rng, resample_rng, summary_rng = seed_streams(config.seed)
+    n = config.n_particles
 
     if method == "rb_gauss":
         from . import raoblackwell as rb
-        pset = rb.init_rb_gauss_set(model, streams, init_sampler=init_sampler,
+        pset = rb.init_rb_gauss_set(model, init_rng, n,
+                                    init_sampler=init_sampler,
                                     init_gauss=init_gauss)
     elif method == "rb_param":
         if family is None:
@@ -476,15 +507,15 @@ def run_filter(model, proposal, meas_model, times, ys, config, *,
         sampler = init_sampler or model.initial_sampler
         if sampler is None:
             raise ValueError("no initial sampler available")
-        pset = init_particle_set(sampler, streams,
-                                 stats=family.init_stats(config.n_particles))
+        pset = init_particle_set(sampler, init_rng, n,
+                                 stats=family.init_stats(n))
         if cond_fn is None:
             cond_fn = lambda x_prev, x_new: x_new[..., 0]
     else:
         sampler = init_sampler or model.initial_sampler
         if sampler is None:
             raise ValueError("no initial sampler available")
-        pset = init_particle_set(sampler, streams)
+        pset = init_particle_set(sampler, init_rng, n)
 
     def summarize(pset, k, t, ess, log_ml, resampled):
         w = pset.weights
@@ -512,49 +543,22 @@ def run_filter(model, proposal, meas_model, times, ys, config, *,
     summaries = [summarize(pset, 0, config.t0, float(pset.n), 0.0, False)]
     log_ml = 0.0
     t_prev = config.t0
+    step = dict(builder=builder, ess_threshold=config.ess_threshold,
+                resample_rng=resample_rng, noise_rng=noise_rng,
+                threads=config.threads)
 
     for k, (t_k, y_k) in enumerate(zip(times, ys), start=1):
         grid = TimeGrid(t_prev, float(t_k), config.n_steps)
-
-        if method == "sir":
-            def phase(chunk):
-                imp = builder(chunk, grid, y_k)
-                incs = draw_increments(grid, model.diffusion, chunk.streams)
-                res = propagate_coupled(model, imp, chunk.states, grid, incs)
-                return res.state, res.llr
-
-            states, llr = _chunk_map(pset, config.threads, phase)
-            loglik = np.asarray(meas_model.log_likelihood(y_k, states), dtype=float)
-            pset, st = finish_step(pset, states, llr, loglik, grid.t1,
-                                   ess_threshold=config.ess_threshold,
-                                   resample_rng=resample_rng)
-        elif method == "sir_split":
-            def phase(chunk):
-                imp = builder(chunk, grid, y_k)
-                x1, x2 = model.split(chunk.states)
-                incs = draw_increments(grid, model.diffusion, chunk.streams)
-                res = propagate_coupled_split(model, imp, x1, x2, grid, incs)
-                return np.concatenate([res.state_det, res.state_stoch], -1), res.llr
-
-            states, llr = _chunk_map(pset, config.threads, phase)
-            loglik = np.asarray(meas_model.log_likelihood(y_k, states), dtype=float)
-            pset, st = finish_step(pset, states, llr, loglik, grid.t1,
-                                   ess_threshold=config.ess_threshold,
-                                   resample_rng=resample_rng)
+        if method in ("sir", "sir_split"):
+            pset, st = sir_step(pset, model, None, meas_model, y_k, grid,
+                                **step)
         elif method == "rb_gauss":
             from . import raoblackwell as rb
-            pset, st = rb.rb_gauss_step(pset, model, None, y_k, grid,
-                                        builder=builder,
-                                        ess_threshold=config.ess_threshold,
-                                        resample_rng=resample_rng,
-                                        threads=config.threads)
+            pset, st = rb.rb_gauss_step(pset, model, None, y_k, grid, **step)
         elif method == "rb_param":
             from . import raoblackwell as rb
             pset, st = rb.rb_param_step(pset, model, None, family, y_k, grid,
-                                        cond_fn=cond_fn, builder=builder,
-                                        ess_threshold=config.ess_threshold,
-                                        resample_rng=resample_rng,
-                                        threads=config.threads)
+                                        cond_fn=cond_fn, **step)
         else:
             raise ValueError("unknown method %r" % (method,))
 

@@ -25,11 +25,10 @@ from scipy.special import gammaln
 from ._linalg import (TimeMatrix, guarded_inv, log_mvn_density, mat_vec,
                       symmetrize)
 from .exceptions import IntegrationError
-from .filtering import (_chunk_map, draw_increments, finish_step,
+from .filtering import (_chunk_map, _propagate, draw_increments, finish_step,
                         init_particle_set)
-from .girsanov import (_LlrOps, _llr_kernel, _matrix_at, _matrix_constant,
-                       propagate_coupled, propagate_coupled_split)
-from .sde import DiffusionSpec, SplitSdeModel
+from .girsanov import _LlrOps, _llr_kernel, _matrix_at, _matrix_constant
+from .sde import DiffusionSpec
 
 __all__ = [
     "GaussianBlock", "CondGaussModel", "ConjugateFamily",
@@ -177,8 +176,9 @@ def kalman_update(block, h_mat, r_mat, y):
     return GaussianBlock(mean, cov), pred, s_mat
 
 
-def init_rb_gauss_set(model, streams, *, init_sampler=None, init_gauss=None):
-    """Equally weighted initial set with a shared initial Gaussian block."""
+def init_rb_gauss_set(model, rng, n, *, init_sampler=None, init_gauss=None):
+    """Equally weighted initial set of n particles drawn from rng, with a
+    shared initial Gaussian block."""
     sampler = init_sampler or model.initial_sampler
     if sampler is None:
         raise ValueError("no initial sampler available")
@@ -189,13 +189,13 @@ def init_rb_gauss_set(model, streams, *, init_sampler=None, init_gauss=None):
     p0 = np.asarray(gauss[1], dtype=float)
     if p0.ndim == 0:
         p0 = p0.reshape(1, 1)
-    n = len(streams)
     block = GaussianBlock(np.tile(m0, (n, 1)), np.tile(p0, (n, 1, 1)))
-    return init_particle_set(sampler, streams, gauss=block)
+    return init_particle_set(sampler, rng, n, gauss=block)
 
 
 def rb_gauss_step(pset, model, imp, y, grid, *, builder=None,
-                  ess_threshold=0.5, resample_rng=None, threads=1):
+                  ess_threshold=0.5, resample_rng=None, noise_rng,
+                  threads=1):
     """One cycle of the marginalized filter for CondGaussModel.
 
     Samples (x2, x3) under the proposal with likelihood-ratio weights,
@@ -210,22 +210,25 @@ def rb_gauss_step(pset, model, imp, y, grid, *, builder=None,
             builder is given.
         y: measurement at grid.t1.
         grid: TimeGrid of the interval.
+        noise_rng: generator for the interval's noise block, drawn for
+            all particles before they are split into chunks.
 
     Returns:
         (ParticleSet, StepStats).
     """
     if builder is None:
         builder = lambda chunk, g, yy: imp
+    incs = draw_increments(grid, model.diffusion, noise_rng, pset.n)
 
-    def phase(chunk):
+    def phase(sl):
+        chunk = pset.take(sl)
         imp_c = builder(chunk, grid, y)
         x2, x3 = model.split(chunk.states)
         s2, s3 = x2.copy(), x3.copy()
         s2s, s3s = x2.copy(), x3.copy()
         mean = np.asarray(chunk.gauss.mean, dtype=float).copy()
         cov = np.asarray(chunk.gauss.cov, dtype=float).copy()
-        incs = draw_increments(grid, model.diffusion, chunk.streams)
-        vals = incs.values
+        vals = incs.values[sl]
         llr = np.zeros(s3.shape[:-1])
         dt = grid.dt
         hoisted = model.dispersion.constant and model.diffusion.constant \
@@ -282,7 +285,7 @@ def rb_gauss_step(pset, model, imp, y, grid, *, builder=None,
 
 def rb_param_step(pset, model, imp, family, y, grid, *, cond_fn,
                   builder=None, ess_threshold=0.5, resample_rng=None,
-                  threads=1):
+                  noise_rng, threads=1):
     """One cycle of the conjugate-parameter marginalized filter.
 
     Particles are propagated as in the plain filter; the measurement
@@ -300,25 +303,15 @@ def rb_param_step(pset, model, imp, family, y, grid, *, cond_fn,
         cond_fn: maps (x_prev, x_new) full states to the value u_k the
             family conditions on (e.g. a state component, or an interval
             statistic of the two endpoints).
+        noise_rng: generator for the interval's noise block.
 
     Returns:
         (ParticleSet, StepStats).
     """
     if builder is None:
         builder = lambda chunk, g, yy: imp
-    split = isinstance(model, SplitSdeModel)
-
-    def phase(chunk):
-        imp_c = builder(chunk, grid, y)
-        incs = draw_increments(grid, model.diffusion, chunk.streams)
-        if split:
-            x1, x2 = model.split(chunk.states)
-            res = propagate_coupled_split(model, imp_c, x1, x2, grid, incs)
-            return np.concatenate([res.state_det, res.state_stoch], -1), res.llr
-        res = propagate_coupled(model, imp_c, chunk.states, grid, incs)
-        return res.state, res.llr
-
-    states, llr = _chunk_map(pset, threads, phase)
+    states, llr = _propagate(pset, model, builder, y, grid, noise_rng,
+                             threads)
     u = np.asarray(cond_fn(pset.states, states), dtype=float)
     loglik = np.asarray(family.log_marginal(y, u, pset.stats), dtype=float)
     stats_new = family.update(pset.stats, u, y)

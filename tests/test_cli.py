@@ -2,7 +2,8 @@
 
 Each test invokes ``python -m sdepf ...`` exactly as a user would, so the
 exit-code contract, config validation, CSV layout and reproducibility
-guarantees are all exercised from outside the package.
+guarantees are all exercised from outside the package.  The exit-code
+tests that inject a failure call ``sdepf.cli.main`` in process instead.
 """
 
 import subprocess
@@ -10,6 +11,8 @@ import sys
 
 import numpy as np
 import pytest
+
+import sdepf.cli
 
 
 def run_cli(*args):
@@ -577,6 +580,60 @@ out = %s
     res = run_cli("filter", "--config", cfg)
     assert res.returncode == 3
     assert "numerical failure" in res.stderr
+
+
+def test_value_error_during_run_exits_3(tmp_path, monkeypatch, capsys):
+    meas = tmp_path / "m.csv"
+    meas.write_text("t,y\n0.5,0.1\n", encoding="utf-8")
+    cfg = write_config(tmp_path / "f.ini", """
+[model]
+kind = ou
+
+[io]
+measurements = %s
+out = %s
+""" % (meas, tmp_path / "run"))
+
+    def failing_run(*args, **kwargs):
+        raise ValueError("exposure theta must be positive")
+
+    monkeypatch.setattr(sdepf.cli, "run_filter", failing_run)
+    assert sdepf.cli.main(["filter", "--config", cfg]) == 3
+    err = capsys.readouterr().err
+    assert "numerical failure" in err
+    assert "exposure theta" in err
+
+
+def test_malformed_count_file_exits_2(tmp_path, capsys):
+    meas = tmp_path / "counts.csv"
+    meas.write_text("week,deaths\n1,3\n2\n", encoding="utf-8")
+    cfg = write_config(tmp_path / "f.ini", """
+[model]
+kind = epidemic
+
+[io]
+measurements = %s
+out = %s
+""" % (meas, tmp_path / "run"))
+    assert sdepf.cli.main(["filter", "--config", cfg]) == 2
+    err = capsys.readouterr().err
+    assert "configuration error" in err
+    assert "malformed" in err
+
+
+def test_measurement_at_time_zero_exits_2(tmp_path, capsys):
+    meas = tmp_path / "m.csv"
+    meas.write_text("t,y\n0.0,0.1\n0.5,0.2\n", encoding="utf-8")
+    cfg = write_config(tmp_path / "f.ini", """
+[model]
+kind = ou
+
+[io]
+measurements = %s
+out = %s
+""" % (meas, tmp_path / "run"))
+    assert sdepf.cli.main(["filter", "--config", cfg]) == 2
+    assert "positive" in capsys.readouterr().err
 
 
 def test_unknown_command_exits_2():

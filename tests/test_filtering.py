@@ -5,10 +5,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sdepf import (FilterConfig, GaussianBlock, ParticleSet, SdeModel,
-                   effective_sample_size, finish_step, gaussian_measurement,
-                   init_particle_set, normalize_log_weights, prior_proposal,
-                   run_filter, seed_streams, systematic_resample,
+from sdepf import (CondGaussModel, FilterConfig, GaussianBlock, ParticleSet,
+                   SdeModel, TimeGrid, effective_sample_size, finish_step,
+                   gaussian_measurement, init_particle_set, invchi2_family,
+                   models, normalize_log_weights, prior_proposal, run_filter,
+                   seed_streams, sir_step, systematic_resample,
                    systematic_resample_indices)
 from sdepf.exceptions import DegeneracyError, IntegrationError
 
@@ -101,26 +102,41 @@ class TestSystematicResampling:
                                           np.random.default_rng(5))
         np.testing.assert_array_equal(idx, np.arange(8))
 
-    def test_streams_stay_with_slots(self):
-        streams, _, _ = seed_streams(0, 4)
+    def test_resample_keeps_step_index(self):
         states = np.arange(4.0)[:, None]
         lw = np.log(np.array([0.94, 0.02, 0.02, 0.02]))
-        pset = ParticleSet(states, lw, streams, 3)
+        pset = ParticleSet(states, lw, 3)
         out = systematic_resample(pset, np.random.default_rng(1))
-        assert out.streams is pset.streams
         assert out.step_index == 3
         # Nearly all offspring come from particle 0.
         assert np.sum(out.states[:, 0] == 0.0) >= 3
         np.testing.assert_allclose(np.exp(out.log_weights), 0.25, rtol=1e-12)
 
+    def test_noise_does_not_depend_on_resampling(self):
+        # One step that never resamples and one that always does must
+        # leave the noise generator in the same state.
+        model = SdeModel(1, 1, lambda x, t: -x, 1.0, 0.5)
+        meas = gaussian_measurement(0, 0.1)
+        grid = TimeGrid(0.0, 0.5, 4)
+        states = np.linspace(-1.0, 1.0, 6)[:, None]
+        noise_states = []
+        for threshold in (0.0, 1.0):
+            _, noise_rng, resample_rng, _ = seed_streams(8)
+            pset = ParticleSet(states, np.full(6, -np.log(6.0)))
+            _, st_ = sir_step(pset, model, prior_proposal(model), meas, 0.7,
+                              grid, ess_threshold=threshold,
+                              resample_rng=resample_rng, noise_rng=noise_rng)
+            assert st_.resampled == (threshold == 1.0)
+            noise_states.append(noise_rng.bit_generator.state)
+        assert noise_states[0] == noise_states[1]
+
     def test_payloads_follow_ancestry(self):
-        streams, _, _ = seed_streams(0, 3)
         states = np.arange(3.0)[:, None]
         lw = np.log(np.array([1e-9, 1e-9, 1.0 - 2e-9]))
         gauss = GaussianBlock(np.arange(3.0)[:, None],
                               np.ones((3, 1, 1)))
         stats = np.arange(6.0).reshape(3, 2)
-        pset = ParticleSet(states, lw, streams, 0, gauss, stats)
+        pset = ParticleSet(states, lw, 0, gauss, stats)
         out = systematic_resample(pset, np.random.default_rng(0))
         np.testing.assert_array_equal(out.states[:, 0], [2.0, 2.0, 2.0])
         np.testing.assert_array_equal(out.gauss.mean[:, 0], [2.0, 2.0, 2.0])
@@ -129,9 +145,7 @@ class TestSystematicResampling:
 
 class TestFinishStep:
     def _uniform_pset(self, n=2):
-        streams, _, _ = seed_streams(1, n)
-        return ParticleSet(np.zeros((n, 1)), np.full(n, -np.log(n)), streams,
-                           0)
+        return ParticleSet(np.zeros((n, 1)), np.full(n, -np.log(n)), 0)
 
     def test_hand_traced_update(self):
         # [DERIVED] uniform prior weights, likelihood factors (1, 3):
@@ -185,19 +199,18 @@ class TestFinishStep:
 
 class TestSeedStreams:
     def test_reproducible_and_distinct(self):
-        s1, r1, q1 = seed_streams(42, 4)
-        s2, r2, q2 = seed_streams(42, 4)
-        draws1 = [g.random() for g in s1]
-        draws2 = [g.random() for g in s2]
+        # Same seed, same four generators; the four branches differ.
+        g1 = seed_streams(42)
+        g2 = seed_streams(42)
+        assert len(g1) == 4
+        draws1 = [g.random() for g in g1]
+        draws2 = [g.random() for g in g2]
         assert draws1 == draws2
         assert len(set(np.round(draws1, 12))) == 4
-        assert r1.random() == r2.random()
-        assert q1.random() == q2.random()
 
     def test_different_seeds_differ(self):
-        s1, _, _ = seed_streams(0, 2)
-        s2, _, _ = seed_streams(1, 2)
-        assert s1[0].random() != s2[0].random()
+        for a, b in zip(seed_streams(0), seed_streams(1)):
+            assert a.random() != b.random()
 
 
 def _ou_setup(n_meas=10, seed=7):
@@ -327,28 +340,140 @@ class TestRunFilter:
 
 class TestParticleSetBasics:
     def test_init_particle_set_draws_one_per_stream(self):
-        streams, _, _ = seed_streams(3, 5)
-        pset = init_particle_set(lambda g: g.normal(size=2), streams)
+        # N draws in slot order from the one init generator.
+        pset = init_particle_set(lambda g: g.normal(size=2),
+                                 np.random.default_rng(3), 5)
         assert pset.states.shape == (5, 2)
         assert pset.n == 5
         np.testing.assert_allclose(np.exp(pset.log_weights), 0.2, rtol=1e-12)
         assert pset.step_index == 0
+        np.testing.assert_array_equal(
+            pset.states, np.random.default_rng(3).normal(size=(5, 2)))
+        again = init_particle_set(lambda g: g.normal(size=2),
+                                  np.random.default_rng(3), 5)
+        np.testing.assert_array_equal(pset.states, again.states)
 
     def test_weights_property(self):
-        streams, _, _ = seed_streams(0, 3)
-        pset = ParticleSet(np.zeros((3, 1)), np.log([0.2, 0.3, 0.5]), streams,
-                           0)
+        pset = ParticleSet(np.zeros((3, 1)), np.log([0.2, 0.3, 0.5]), 0)
         np.testing.assert_allclose(pset.weights, [0.2, 0.3, 0.5], rtol=1e-14)
 
     def test_take_slices_all_fields(self):
-        streams, _, _ = seed_streams(0, 4)
         gauss = GaussianBlock(np.arange(4.0)[:, None], np.ones((4, 1, 1)))
         stats = np.arange(8.0).reshape(4, 2)
         pset = ParticleSet(np.arange(4.0)[:, None], np.full(4, -np.log(4.0)),
-                           streams, 2, gauss, stats)
+                           2, gauss, stats)
         sub = pset.take(slice(1, 3))
         assert sub.n == 2
         np.testing.assert_array_equal(sub.states[:, 0], [1.0, 2.0])
         np.testing.assert_array_equal(sub.gauss.mean[:, 0], [1.0, 2.0])
         np.testing.assert_array_equal(sub.stats[:, 0], [2.0, 4.0])
-        assert sub.streams == streams[1:3]
+
+
+def _method_case(method):
+    """(model, proposal, meas_model, times, ys, run_filter kwargs) for a
+    tiny instance of each filter method.  The pendulum cases use the
+    per-particle bridge builder, which runs once per chunk."""
+    times = np.array([0.3, 0.6, 0.9])
+    if method == "sir":
+        model = SdeModel(1, 1, lambda x, t: -x, 1.0, 0.5,
+                         initial_sampler=lambda g: g.normal(size=1))
+        return (model, prior_proposal(model), gaussian_measurement(0, 0.1),
+                times, np.array([0.4, -0.3, 0.2]), {})
+    if method == "rb_gauss":
+        model = CondGaussModel(
+            dim_lin=1, dim_det=0, dim_stoch=1,
+            lin_coeff=lambda x2, x3, t: np.full(x3.shape[:-1] + (1, 1), -0.5),
+            lin_shift=lambda x2, x3, t: x3,
+            lin_noise=lambda x2, x3, t: np.ones(x3.shape[:-1] + (1, 1)),
+            lin_diffusion=0.3, drift_det=lambda x2, x3, t: np.zeros_like(x2),
+            drift_stoch=lambda x2, x3, t: -x3, dispersion=1.0, diffusion=0.4,
+            meas_matrix=np.array([[1.0]]), meas_cov=np.array([[0.1]]),
+            initial_sampler=lambda g: g.normal(size=1),
+            init_gauss=(np.array([0.5]), np.array([[0.9]])))
+        return (model, prior_proposal(model), None, times,
+                np.array([0.6, 0.1, -0.2]), {})
+    model = models.pendulum_model(
+        1.0, 0.01, initial_sampler=lambda g: np.array([1.5, 0.0])
+        + 0.5 * g.standard_normal(2))
+    ys = np.array([1.4, 1.2, 1.0])
+    if method == "sir_split":
+        return (model, models.pendulum_bridge_builder(1.0, 0.01, 0.25),
+                gaussian_measurement(0, 0.25), times, ys, {})
+    fam = invchi2_family(3.0, 0.2)
+    builder = models.pendulum_bridge_builder(
+        1.0, 0.01, lambda pset: fam.point_estimate(pset.stats))
+    return model, builder, None, times, ys, {"family": fam}
+
+
+def _run_case(method, n, threads=1, ess_threshold=0.5, n_meas=None):
+    model, proposal, meas, times, ys, kwargs = _method_case(method)
+    cfg = FilterConfig(n_particles=n, n_steps=3, ess_threshold=ess_threshold,
+                       seed=4, threads=threads)
+    return run_filter(model, proposal, meas, times[:n_meas], ys[:n_meas],
+                      cfg, method=method, **kwargs)
+
+
+METHODS = ("sir", "sir_split", "rb_gauss", "rb_param")
+
+
+class TestThreadInvariance:
+    @pytest.mark.parametrize("n", (1, 2, 3, 5, 17))
+    @pytest.mark.parametrize("method", METHODS)
+    def test_summaries_bit_identical(self, method, n):
+        # N < 2 * threads runs as one chunk; larger N splits into chunks.
+        # A high threshold makes later intervals start from resampled sets.
+        ref = _run_case(method, n, threads=1, ess_threshold=0.9)
+        for threads in (2, 3):
+            res = _run_case(method, n, threads=threads, ess_threshold=0.9)
+            assert len(res.summaries) == len(ref.summaries)
+            for a, b in zip(ref.summaries, res.summaries):
+                np.testing.assert_array_equal(a.mean, b.mean)
+                np.testing.assert_array_equal(a.var, b.var)
+                assert a.ess == b.ess
+                assert a.log_marginal == b.log_marginal
+                assert a.resampled == b.resampled
+                assert sorted(a.extra) == sorted(b.extra)
+                np.testing.assert_array_equal(
+                    [a.extra[key] for key in sorted(a.extra)],
+                    [b.extra[key] for key in sorted(b.extra)])
+
+
+class TestRunFilterEdgeCases:
+    @pytest.mark.parametrize("method", METHODS)
+    def test_single_particle(self, method):
+        res = _run_case(method, 1)
+        for row in res.summaries:
+            assert row.ess == 1.0
+            assert not row.resampled
+        assert np.isfinite(res.log_marginal)
+
+    def test_single_measurement(self):
+        # [DERIVED] one bootstrap update estimates the exact chain
+        # likelihood of y_1; the summary has the initial row plus one.
+        model, times, ys, (rate, q, obs_var) = _ou_setup(n_meas=1)
+        kf = chain_kalman_filter(-rate, 1.0, q, [1.0], obs_var, [0.0],
+                                 [[1.0]], times, ys, n_steps=5)
+        n = 4000
+        cfg = FilterConfig(n_particles=n, n_steps=5, seed=2)
+        res = run_filter(model, prior_proposal(model),
+                         gaussian_measurement(0, obs_var), times, ys, cfg)
+        assert [r.k for r in res.summaries] == [0, 1]
+        assert res.summaries[1].t == times[0]
+        assert res.summaries[1].log_marginal == res.log_marginal
+        assert res.log_marginal == pytest.approx(kf.log_ml, abs=0.1)
+        bound = 6.0 * np.sqrt(kf.covs[0, 0, 0] / n)
+        assert abs(res.summaries[1].mean[0] - kf.means[0, 0]) < bound
+
+    @pytest.mark.parametrize("method", METHODS)
+    def test_threshold_zero_never_resamples(self, method):
+        res = _run_case(method, 17, ess_threshold=0.0)
+        assert not any(r.resampled for r in res.summaries)
+
+    @pytest.mark.parametrize("method", METHODS)
+    def test_threshold_one_resamples_every_uneven_step(self, method):
+        res = _run_case(method, 17, ess_threshold=1.0)
+        uneven = [r for r in res.summaries[1:] if r.ess < 17]
+        assert uneven
+        assert all(r.resampled for r in uneven)
+        assert not any(r.resampled for r in res.summaries[1:]
+                       if r.ess >= 17)

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from sdepf import FilterConfig, gamma_poisson_family, seed_streams
+from sdepf import FilterConfig, gamma_poisson_family
 from sdepf.filtering import ParticleSet
 from sdepf.models import (CountSeries, EKF_LOG_RATE_CAP, epidemic_drift,
                           epidemic_indicator, epidemic_init_sampler,
@@ -77,9 +77,8 @@ class TestPendulumPieces:
     def test_bridge_builder_accepts_callable_variance(self):
         builder = pendulum_bridge_builder(1.0, 0.01,
                                           lambda pset: np.full(pset.n, 0.25))
-        streams, _, _ = seed_streams(0, 6)
         states = np.tile([1.4, 0.1], (6, 1))
-        pset = ParticleSet(states, np.full(6, -np.log(6.0)), streams, 0)
+        pset = ParticleSet(states, np.full(6, -np.log(6.0)), 0)
         imp = builder(pset, TimeGrid(0.0, 0.1, 5), 1.3)
         b = np.asarray(imp.dispersion)
         assert b.shape == (6, 1, 1)
@@ -181,10 +180,9 @@ class TestEpidemicSimulate:
 
 class TestEpidemicBridge:
     def _pset(self, lam):
-        streams, _, _ = seed_streams(0, 4)
         states = np.tile([0.9, 0.05, lam], (4, 1))
         fam = gamma_poisson_family(10.0, 0.001)
-        return ParticleSet(states, np.full(4, -np.log(4.0)), streams, 0,
+        return ParticleSet(states, np.full(4, -np.log(4.0)), 0,
                            stats=fam.init_stats(4)), fam
 
     def test_returns_positive_dispersion(self):
@@ -211,14 +209,13 @@ class TestEpidemicBridge:
 
 class TestEpidemicPredict:
     def _filtered_pset(self):
-        streams, _, _ = seed_streams(1, 8)
         rng = np.random.default_rng(2)
         states = np.column_stack([
             0.6 + 0.05 * rng.random(8),
             0.05 + 0.01 * rng.random(8),
             np.log(1.6) + 0.05 * rng.standard_normal(8)])
         stats = np.tile([500.0, 0.005], (8, 1))
-        return ParticleSet(states, np.full(8, -np.log(8.0)), streams, 0,
+        return ParticleSet(states, np.full(8, -np.log(8.0)), 0,
                            stats=stats)
 
     def test_shapes_and_ranges(self):

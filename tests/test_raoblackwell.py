@@ -323,11 +323,10 @@ class TestRbGauss:
 
 class TestEvalMixture:
     def test_hand_mixture_density(self):
-        streams, _, _ = seed_streams(0, 2)
         gauss = GaussianBlock(np.array([[0.0], [2.0]]),
                               np.array([[[1.0]], [[4.0]]]))
         lw = np.log([0.3, 0.7])
-        pset = ParticleSet(np.zeros((2, 1)), lw, streams, 0, gauss)
+        pset = ParticleSet(np.zeros((2, 1)), lw, 0, gauss)
         expected = (0.3 * sps.norm.pdf(0.0, 0.0, 1.0)
                     + 0.7 * sps.norm.pdf(0.0, 2.0, 2.0))
         assert eval_mixture(pset, 0.0) == pytest.approx(expected, rel=1e-12)
@@ -338,9 +337,8 @@ class TestEvalMixture:
     def test_single_standard_normal(self):
         # [DERIVED] standard normal density at 0 is
         # 1/sqrt(2 pi) = 0.3989422804014327.
-        streams, _, _ = seed_streams(0, 1)
         gauss = GaussianBlock(np.zeros((1, 1)), np.ones((1, 1, 1)))
-        pset = ParticleSet(np.zeros((1, 1)), np.zeros(1), streams, 0, gauss)
+        pset = ParticleSet(np.zeros((1, 1)), np.zeros(1), 0, gauss)
         assert eval_mixture(pset, 0.0) == pytest.approx(0.3989422804014327,
                                                         rel=1e-13)
 
@@ -361,16 +359,16 @@ class TestRbParam:
         # they were before this measurement.
         model = self._static_model()
         fam = invchi2_family(2.0, 0.2)
-        streams, resample_rng, _ = seed_streams(0, 2)
+        _, noise_rng, _, _ = seed_streams(0)
         states = np.array([[0.0, 0.0], [0.0, 1.0]])
         stats = np.array([[2.0, 0.2], [50.0, 1.0]])
-        pset = ParticleSet(states, np.full(2, -np.log(2.0)), streams, 0,
+        pset = ParticleSet(states, np.full(2, -np.log(2.0)), 0,
                            stats=stats)
         grid = TimeGrid(0.0, 1.0, 2)
         y = 0.5
         out, st_ = rb_param_step(pset, model, prior_proposal(model), fam, y,
                                  grid, cond_fn=lambda xp, xn: xn[..., 1],
-                                 ess_threshold=0.0)
+                                 ess_threshold=0.0, noise_rng=noise_rng)
         log_w0 = sps.t.logpdf(0.5, df=2.0, scale=np.sqrt(0.2))
         log_w1 = sps.t.logpdf(-0.5, df=50.0, scale=np.sqrt(1.0))
         expected = np.exp([log_w0, log_w1])
