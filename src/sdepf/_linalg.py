@@ -84,6 +84,13 @@ def symmetrize(mat):
 def guarded_inv(mat, name, t=None):
     """Invert a (batched) matrix after a condition-number check.
 
+    Batches of 1x1 matrices skip the SVD and are exact: the condition
+    number of [a] is 1 where a and 1 / a are finite and infinite
+    otherwise, and 1.0 / a is the correctly rounded inverse LAPACK
+    returns.  So they raise on the same inputs as the SVD path (0, +-inf,
+    NaN and subnormals whose reciprocal overflows) and return the same
+    bits.  Larger matrices keep the SVD check.
+
     Args:
         mat: array (..., n, n).
         name: label used in error messages.
@@ -94,8 +101,18 @@ def guarded_inv(mat, name, t=None):
 
     Raises:
         SingularMatrixError: if the matrix is singular or its condition
-            number exceeds COND_LIMIT anywhere in the batch.
+            number exceeds COND_LIMIT anywhere in the batch.  For 1x1
+            batches the message names the first offending batch index
+            and its value.
     """
+    mat = np.asarray(mat)
+    if mat.shape[-2:] == (1, 1):
+        with np.errstate(all="ignore"):
+            inv = 1.0 / mat
+        bad = ~(np.isfinite(mat) & np.isfinite(inv))
+        if np.any(bad):
+            raise SingularMatrixError(_singular_1x1(mat, bad, name, t))
+        return inv
     where = "" if t is None else " at t=%g" % t
     try:
         with np.errstate(all="ignore"):
@@ -111,12 +128,27 @@ def guarded_inv(mat, name, t=None):
     return inv
 
 
-def log_mvn_density(resid, cov):
+def _singular_1x1(mat, bad, name, t):
+    """Error message naming the first offending entry of a 1x1 batch."""
+    index = np.unravel_index(np.argmax(bad), bad.shape)[:-2]
+    value = mat[index][0, 0]
+    where = [] if t is None else ["t=%g" % t]
+    if len(index) == 1:
+        where.append("particle %d" % index[0])
+    elif index:
+        where.append("batch index %s" % (tuple(int(i) for i in index),))
+    return "%s is singular%s (value %g%s)" % (
+        name, " at " + ", ".join(where) if where else "", value,
+        ", inverse overflows" if np.isfinite(value) and value != 0 else "")
+
+
+def log_mvn_density(resid, cov, cov_inv=None):
     """Log density of N(0, cov) evaluated at resid, batched.
 
     Args:
         resid: residuals (..., m).
         cov: covariance (..., m, m).
+        cov_inv: guarded_inv(cov) when the caller already has it.
 
     Returns:
         Log densities with shape (...,).
@@ -125,5 +157,7 @@ def log_mvn_density(resid, cov):
     sign, logdet = np.linalg.slogdet(cov)
     if np.any(sign <= 0):
         raise SingularMatrixError("covariance is not positive definite")
-    maha = quad_form(resid, guarded_inv(cov, "covariance"))
+    if cov_inv is None:
+        cov_inv = guarded_inv(cov, "covariance")
+    maha = quad_form(resid, cov_inv)
     return -0.5 * (m * np.log(2.0 * np.pi) + logdet + maha)

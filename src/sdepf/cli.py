@@ -239,15 +239,12 @@ def _fmt(value):
 
 
 def _write_csv(path, header_lines, columns, rows):
-    try:
-        with open(path, "w", encoding="utf-8", newline="\n") as fh:
-            for line in header_lines:
-                fh.write(line + "\n")
-            fh.write(",".join(columns) + "\n")
-            for row in rows:
-                fh.write(",".join(_fmt(v) for v in row) + "\n")
-    except OSError:
-        raise
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        for line in header_lines:
+            fh.write(line + "\n")
+        fh.write(",".join(columns) + "\n")
+        for row in rows:
+            fh.write(",".join(_fmt(v) for v in row) + "\n")
     return path
 
 

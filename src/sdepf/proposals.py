@@ -102,7 +102,7 @@ def ekf_condition(moments, h_mat, r_mat, y):
     r = np.asarray(r_mat, dtype=float)
     if r.ndim == 0:
         r = r.reshape(1, 1)
-    mean, cov, _, _ = _gaussian_condition(
+    mean, cov, _, _, _ = _gaussian_condition(
         np.asarray(moments.mean, dtype=float),
         np.asarray(moments.cov, dtype=float), h, r, y)
     return EkfMoments(mean, cov)

@@ -144,20 +144,24 @@ def propagate_gaussian_block(block, f_mat, shift, v_mat, q_eta, t, dt):
     return GaussianBlock(mean, cov)
 
 
-def _gaussian_condition(mean, cov, h_mat, r_mat, y):
+def _gaussian_condition(mean, cov, h_mat, r_mat, y, t=None):
     """Condition N(mean, cov) on y = H x + N(0, R).  Shared Kalman math.
 
-    Returns (mean', cov', predicted mean, innovation covariance).
+    t, if given, is reported when the innovation covariance is singular.
+
+    Returns (mean', cov', predicted mean, innovation covariance and its
+    inverse).
     """
     pred = mat_vec(h_mat, mean)
     pht = np.matmul(cov, np.swapaxes(h_mat, -1, -2))
     s_mat = np.matmul(h_mat, pht) + r_mat
-    gain = np.matmul(pht, guarded_inv(s_mat, "innovation covariance"))
+    s_inv = guarded_inv(s_mat, "innovation covariance", t)
+    gain = np.matmul(pht, s_inv)
     resid = np.asarray(y, dtype=float) - pred
     mean_new = mean + mat_vec(gain, resid)
     cov_new = cov - np.matmul(np.matmul(gain, s_mat),
                               np.swapaxes(gain, -1, -2))
-    return mean_new, repair_cov(cov_new), pred, s_mat
+    return mean_new, repair_cov(cov_new), pred, s_mat, s_inv
 
 
 def kalman_update(block, h_mat, r_mat, y):
@@ -179,7 +183,7 @@ def kalman_update(block, h_mat, r_mat, y):
     r = np.asarray(r_mat, dtype=float)
     if r.ndim == 0:
         r = r.reshape(1, 1)
-    mean, cov, pred, s_mat = _gaussian_condition(
+    mean, cov, pred, s_mat, _ = _gaussian_condition(
         np.asarray(block.mean, dtype=float),
         np.asarray(block.cov, dtype=float), h, r, y)
     return GaussianBlock(mean, cov), pred, s_mat
@@ -284,9 +288,10 @@ def rb_gauss_step(pset, model, imp, y, grid, *, builder=None,
         h = h[None, :]
     r = model.meas_cov(x2s, x3s) if callable(model.meas_cov) \
         else _matrix_at(model.meas_cov, grid.t1)
-    mean_post, cov_post, pred, s_mat = _gaussian_condition(mean, cov, h, r, y)
+    mean_post, cov_post, pred, s_mat, s_inv = _gaussian_condition(
+        mean, cov, h, r, y, grid.t1)
     resid = np.asarray(y, dtype=float) - pred
-    loglik = log_mvn_density(resid, s_mat)
+    loglik = log_mvn_density(resid, s_mat, s_inv)
     gauss = GaussianBlock(mean_post, cov_post)
     return finish_step(pset, states, llr, loglik, grid.t1, gauss=gauss,
                        ess_threshold=ess_threshold, resample_rng=resample_rng)

@@ -1,8 +1,8 @@
 """Independent reference implementations used to pin test values.
 
 Everything here is written with plain loops and textbook formulas and
-shares no code with the package under test.  The particle filters in the
-package weight paths of the Euler chain
+shares no code with the package under test beyond its exception types.
+The particle filters in the package weight paths of the Euler chain
 
     x_{j+1} = x_j + f(x_j) dt + L dbeta_j,    dbeta_j ~ N(0, Q dt),
 
@@ -16,6 +16,8 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import integrate, special
 from scipy.special import gammaln
+
+from sdepf.exceptions import SingularMatrixError
 
 
 @dataclass
@@ -238,3 +240,26 @@ def weighted_rmse(estimates, truths):
     """Root mean squared error between two aligned sequences."""
     e = np.asarray(estimates, dtype=float) - np.asarray(truths, dtype=float)
     return float(np.sqrt(np.mean(e * e)))
+
+
+def svd_guarded_inv(mat):
+    """The SVD-based matrix guard, kept as the reference for guarded_inv.
+
+    Every batch once went through this check: a full SVD condition
+    number, limited to 1e12, then LAPACK's inverse.  The package now
+    inverts 1x1 batches in closed form; this version pins which inputs
+    must raise.
+
+    Raises:
+        SingularMatrixError: where the package's guard must raise.
+    """
+    try:
+        with np.errstate(all="ignore"):
+            cond = np.linalg.cond(mat)
+            inv = np.linalg.inv(mat)
+    except np.linalg.LinAlgError:
+        raise SingularMatrixError("singular")
+    if not np.all(np.isfinite(inv)) or np.any(~np.isfinite(cond)) \
+            or np.any(cond > 1e12):
+        raise SingularMatrixError("singular or badly conditioned")
+    return inv

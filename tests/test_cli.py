@@ -604,6 +604,52 @@ out = %s
     assert "exposure theta" in err
 
 
+def test_singular_innovation_covariance_exits_3(tmp_path, capsys):
+    # Valid positive variances so small that the innovation covariance S
+    # is subnormal: 1 / S overflows, so the guard must stop the run.
+    meas = tmp_path / "m.csv"
+    meas.write_text("t,y\n0.5,0.1\n1.0,0.2\n", encoding="utf-8")
+    cfg = write_config(tmp_path / "f.ini", """
+[model]
+kind = lineargauss
+obs_var = 1e-320
+p0 = 1e-320
+q_eta = 1e-320
+
+[filter]
+particles = 20
+
+[io]
+measurements = %s
+out = %s
+""" % (meas, tmp_path / "run"))
+    assert sdepf.cli.main(["filter", "--config", cfg]) == 3
+    err = capsys.readouterr().err
+    assert "numerical failure: innovation covariance is singular at " \
+        "t=0.5, particle 0 (value " in err
+    assert "inverse overflows" in err
+
+
+def test_output_path_is_a_file_exits_4(tmp_path, capsys):
+    meas = tmp_path / "m.csv"
+    meas.write_text("t,y\n0.5,0.1\n", encoding="utf-8")
+    out = tmp_path / "taken"
+    out.write_text("not a directory\n", encoding="utf-8")
+    cfg = write_config(tmp_path / "f.ini", """
+[model]
+kind = ou
+
+[filter]
+particles = 20
+
+[io]
+measurements = %s
+""" % meas)
+    assert sdepf.cli.main(["filter", "--config", cfg, "--out", str(out)]) == 4
+    assert "i/o error" in capsys.readouterr().err
+    assert out.read_text(encoding="utf-8") == "not a directory\n"
+
+
 def test_malformed_count_file_exits_2(tmp_path, capsys):
     meas = tmp_path / "counts.csv"
     meas.write_text("week,deaths\n1,3\n2\n", encoding="utf-8")
