@@ -17,11 +17,11 @@ from .girsanov import (CoupledResult, ImportanceSpec, SplitCoupledResult,
                        propagate_coupled_split, step_llr, step_llr_singular,
                        step_scaled_process)
 from .filtering import (FilterConfig, FilterResult, MeasurementModel,
-                        Particle, ParticleSet, StepStats, SummaryRow,
+                        ParticleSet, StepStats, SummaryRow,
                         effective_sample_size, finish_step,
                         gaussian_measurement, init_particle_set,
                         normalize_log_weights, run_filter, seed_streams,
-                        sir_split_step, sir_step, systematic_resample,
+                        sir_step, systematic_counts, systematic_resample,
                         systematic_resample_indices)
 from .raoblackwell import (CondGaussModel, ConjugateFamily, GaussianBlock,
                            eval_mixture, gamma_poisson_family,
@@ -39,7 +39,7 @@ __all__ = [
     "ConjugateFamily", "CoupledResult", "DegeneracyError", "DiffusionError",
     "DiffusionSpec", "EkfMoments", "FilterConfig", "FilterResult",
     "GaussianBlock", "ImportanceSpec", "IntegrationError", "MeasurementModel",
-    "OdeField", "Particle", "ParticleSet", "SdeModel", "SdepfError",
+    "OdeField", "ParticleSet", "SdeModel", "SdepfError",
     "SingularMatrixError", "SplitCoupledResult", "SplitSdeModel", "StepStats",
     "SummaryRow", "TimeGrid", "build_bridge", "effective_sample_size",
     "ekf_condition", "ekf_predict", "estimate_kl", "euler_maruyama_step",
@@ -50,7 +50,7 @@ __all__ = [
     "propagate_coupled_split", "propagate_gaussian_block", "rb_gauss_step",
     "rb_param_step", "repair_cov", "run_filter",
     "sample_brownian_increments",
-    "finish_step", "seed_streams", "sir_split_step", "sir_step", "step_llr",
-    "step_llr_singular", "step_scaled_process", "systematic_resample",
-    "systematic_resample_indices",
+    "finish_step", "seed_streams", "sir_step", "step_llr",
+    "step_llr_singular", "step_scaled_process", "systematic_counts",
+    "systematic_resample", "systematic_resample_indices",
 ]

@@ -23,7 +23,7 @@ from . import models
 from .exceptions import (ConfigError, DegeneracyError, DiffusionError,
                          IntegrationError, SingularMatrixError)
 from .filtering import (FilterConfig, gaussian_measurement, run_filter,
-                        systematic_resample_indices)
+                        systematic_counts, systematic_resample_indices)
 from .girsanov import (ImportanceSpec, estimate_kl, prior_proposal,
                        propagate_coupled, propagate_coupled_split)
 from .proposals import EkfMoments, build_bridge, ekf_condition, ekf_predict
@@ -87,6 +87,10 @@ def _coerce(section, key, raw, like):
         if isinstance(like, int) and not isinstance(like, bool):
             return int(raw)
         if isinstance(like, float):
+            # NaN and inf would slip through every range check below.
+            if not math.isfinite(float(raw)):
+                raise ConfigError("[%s] %s must be finite, got %r"
+                                  % (section, key, raw))
             return float(raw)
         return raw.strip()
     except (TypeError, ValueError):
@@ -129,7 +133,10 @@ def load_config(path, overrides):
         raise ConfigError("[model] kind must be one of %s, got %r"
                           % ("/".join(_MODEL_KINDS), kind))
 
-    def resolve(section_name, raw, defaults):
+    def resolve(section_name, defaults, raw=None):
+        if raw is None:
+            raw = dict(parser[section_name]) \
+                if parser.has_section(section_name) else {}
         out = dict(defaults)
         for key, raw_val in raw.items():
             if key not in defaults:
@@ -137,32 +144,17 @@ def load_config(path, overrides):
             out[key] = _coerce(section_name, key, raw_val, defaults[key])
         return out
 
-    model = resolve("model", raw_model, _MODEL_DEFAULTS[kind])
-    model["kind"] = kind
-    filt = resolve("filter", dict(parser["filter"]) if parser.has_section("filter") else {},
-                   _FILTER_DEFAULTS)
-    sim = resolve("simulate", dict(parser["simulate"]) if parser.has_section("simulate") else {},
-                  _SIM_DEFAULTS[kind])
-    prior = resolve("prior", dict(parser["prior"]) if parser.has_section("prior") else {},
-                    _PRIOR_DEFAULTS)
-    kl = resolve("kl", dict(parser["kl"]) if parser.has_section("kl") else {},
-                 _KL_DEFAULTS)
-    io_raw = dict(parser["io"]) if parser.has_section("io") else {}
-    io = {"out": io_raw.pop("out", "."),
-          "measurements": io_raw.pop("measurements", ""),
-          "seed": _coerce("io", "seed", io_raw.pop("seed", "0"), 0),
-          "threads": _coerce("io", "threads", io_raw.pop("threads", "1"), 0)}
-    if io_raw:
-        raise ConfigError("unknown key [io] %s" % sorted(io_raw)[0])
-
-    if overrides.get("seed") is not None:
-        io["seed"] = overrides["seed"]
-    if overrides.get("threads") is not None:
-        io["threads"] = overrides["threads"]
-    if overrides.get("out") is not None:
-        io["out"] = overrides["out"]
-    if overrides.get("particles") is not None:
-        filt["particles"] = overrides["particles"]
+    model = dict(resolve("model", _MODEL_DEFAULTS[kind], raw_model), kind=kind)
+    filt = resolve("filter", _FILTER_DEFAULTS)
+    sim = resolve("simulate", _SIM_DEFAULTS[kind])
+    prior = resolve("prior", _PRIOR_DEFAULTS)
+    kl = resolve("kl", _KL_DEFAULTS)
+    io = resolve("io", {"out": ".", "measurements": "", "seed": 0,
+                        "threads": 1})
+    for key, sec in (("seed", io), ("threads", io), ("out", io),
+                     ("particles", filt)):
+        if overrides.get(key) is not None:
+            sec[key] = overrides[key]
 
     if not filt["method"]:
         filt["method"] = _METHOD_DEFAULT[kind]
@@ -213,12 +205,10 @@ def load_config(path, overrides):
 def _provenance(cfg, command):
     """Header lines echoing the resolved configuration (not I/O paths)."""
     lines = ["# sdepf %s" % command, "# seed = %d" % cfg["seed"]]
+    skip = {"prior": cfg["model"]["kind"] not in ("pendulum", "epidemic"),
+            "kl": command != "kl", "simulate": command != "simulate"}
     for sec in ("model", "filter", "simulate", "prior", "kl"):
-        if sec == "prior" and cfg["model"]["kind"] not in ("pendulum", "epidemic"):
-            continue
-        if sec == "kl" and command != "kl":
-            continue
-        if sec in ("simulate",) and command not in ("simulate",):
+        if skip.get(sec):
             continue
         for key in sorted(cfg[sec]):
             val = cfg[sec][key]
@@ -731,6 +721,13 @@ def cmd_selftest(cfg):
         ok = ok and np.all(counts >= np.floor(4 * w)) \
             and np.all(counts <= np.ceil(4 * w))
     checks.append(("systematic resampling counts within floor/ceil", ok))
+
+    # So do the theta summary's allocation counts of K = 64 N draws.
+    counts = [systematic_counts(w, 256, np.random.default_rng(s))
+              for s in range(20)]
+    checks.append(("summary allocation counts sum to K, within floor/ceil",
+                   all(c.sum() == 256 and np.all(np.abs(c - 256 * w) < 1)
+                       for c in counts)))
 
     failed = 0
     for name, passed in checks:

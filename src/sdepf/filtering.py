@@ -21,12 +21,12 @@ from .girsanov import propagate_coupled, propagate_coupled_split
 from .sde import BrownianIncrements, SplitSdeModel, TimeGrid
 
 __all__ = [
-    "Particle", "ParticleSet", "MeasurementModel", "StepStats",
-    "FilterConfig", "SummaryRow", "FilterResult", "seed_streams",
-    "init_particle_set", "draw_increments", "gaussian_measurement",
-    "normalize_log_weights", "effective_sample_size",
-    "systematic_resample_indices", "systematic_resample",
-    "finish_step", "sir_step", "sir_split_step", "run_filter",
+    "ParticleSet", "MeasurementModel", "StepStats", "FilterConfig",
+    "SummaryRow", "FilterResult", "seed_streams", "init_particle_set",
+    "draw_increments", "gaussian_measurement", "normalize_log_weights",
+    "effective_sample_size", "systematic_counts",
+    "systematic_resample_indices", "systematic_resample", "finish_step",
+    "sir_step", "run_filter",
 ]
 
 
@@ -35,16 +35,6 @@ def _logsumexp(lw):
     if m == -np.inf:
         return -np.inf
     return float(m + np.log(np.sum(np.exp(lw - m))))
-
-
-@dataclass(frozen=True)
-class Particle:
-    """Read-only view of one particle (state, log weight, payloads)."""
-
-    state: np.ndarray
-    log_weight: float
-    gauss: object = None
-    stats: object = None
 
 
 @dataclass
@@ -77,11 +67,6 @@ class ParticleSet:
     @property
     def weights(self):
         return np.exp(self.log_weights)
-
-    def particle(self, i):
-        g = None if self.gauss is None else (self.gauss.mean[i], self.gauss.cov[i])
-        s = None if self.stats is None else self.stats[i]
-        return Particle(self.states[i], float(self.log_weights[i]), g, s)
 
     def take(self, idx):
         """Sub-population (idx slice or index array), payloads included."""
@@ -254,6 +239,15 @@ def systematic_resample_indices(weights, rng):
     return np.minimum(np.searchsorted(cum, positions), n - 1)
 
 
+def systematic_counts(weights, k, rng):
+    """Counts of k systematic draws over normalized weights w (N,), from
+    one uniform u of rng: ceil(k c_i - u) - ceil(k c_(i-1) - u), c the
+    cumsum of w; they sum to k, each within one of k w_i, 0 if w_i = 0."""
+    edges = np.minimum(np.ceil(k * np.cumsum(weights) - rng.random()), k)
+    edges[-1] = k
+    return np.diff(edges, prepend=0.0).astype(np.int64)
+
+
 def systematic_resample(pset, rng):
     """Resample a particle set back to uniform weights.
 
@@ -394,10 +388,6 @@ def sir_step(pset, model, imp, meas_model, y, grid, *, builder=None,
                        ess_threshold=ess_threshold, resample_rng=resample_rng)
 
 
-# sir_step dispatches on the model type; the split name is kept for callers.
-sir_split_step = sir_step
-
-
 @dataclass
 class FilterConfig:
     """Run-level settings for run_filter.
@@ -411,8 +401,9 @@ class FilterConfig:
             identical for any thread count: each interval's noise block
             is drawn before the particles are split across threads.
         t0: time of the initial state (first interval is [t0, times[0]]).
-        theta_samples: per-particle draws used for posterior parameter
-            quantile summaries in the conjugate filter.
+        theta_samples: the conjugate filter's parameter quantiles come
+            from K = theta_samples * N posterior draws in all, allocated
+            over the particles by weight (systematic_counts).
         move_steps: resample-move sweeps for method "rb_param" (0 turns
             the move off).  After each resampling, every particle gets
             this many Metropolis-Hastings sweeps over its path
@@ -479,12 +470,20 @@ def _weighted_mean_var(states, w):
     return mean, var
 
 
-def _weighted_quantiles(values, weights, qs):
-    order = np.argsort(values)
-    v = values[order]
-    cw = np.cumsum(weights[order])
-    cw = cw / cw[-1]
-    return np.interp(qs, cw, v)
+def _uniform_quantile(v, q):
+    """np.interp(q, (arange(K) + 1) / K, v) of sorted v, from two entries."""
+    k = v.size
+    j = min(max(int(q * k) - 1, 0), max(k - 2, 0))
+    return float(np.interp(q, [(j + 1) / k, (j + 2) / k],
+                           v[[j, min(j + 1, k - 1)]]))
+
+
+def _theta_quantiles(family, stats, weights, k, rng):
+    """q05, q50, q95 of the particles' weighted posterior mixture, read
+    from k draws allocated by systematic_counts and sorted."""
+    draws = family.sample(stats, rng, systematic_counts(weights, k, rng))
+    draws.sort()
+    return [_uniform_quantile(draws, q) for q in (0.05, 0.5, 0.95)]
 
 
 def run_filter(model, proposal, meas_model, times, ys, config, *,
@@ -536,33 +535,28 @@ def run_filter(model, proposal, meas_model, times, ys, config, *,
     init_rng, noise_rng, resample_rng, summary_rng, *move_rng = seed_streams(
         config.seed, moves=config.move_steps > 0)
     n = config.n_particles
+    from . import raoblackwell as rb
 
+    rb_param = method == "rb_param"
     if method == "rb_gauss":
-        from . import raoblackwell as rb
         pset = rb.init_rb_gauss_set(model, init_rng, n,
                                     init_sampler=init_sampler,
                                     init_gauss=init_gauss)
-    elif method == "rb_param":
-        if family is None:
+    else:
+        if rb_param and family is None:
             raise ValueError("rb_param needs a conjugate family")
         sampler = init_sampler or model.initial_sampler
         if sampler is None:
             raise ValueError("no initial sampler available")
-        pset = init_particle_set(sampler, init_rng, n,
-                                 stats=family.init_stats(n))
-        if cond_fn is None:
-            cond_fn = lambda x_prev, x_new: x_new[..., 0]
-        moves = {}
-        if config.move_steps:
-            from . import raoblackwell as rb
-            pset.path = rb.PathRecord.start(pset.states, model.dim_noise)
-            moves = dict(move_steps=config.move_steps, move_rng=move_rng[0],
-                         init_sampler=sampler)
-    else:
-        sampler = init_sampler or model.initial_sampler
-        if sampler is None:
-            raise ValueError("no initial sampler available")
-        pset = init_particle_set(sampler, init_rng, n)
+        stats = family.init_stats(n) if rb_param else None
+        pset = init_particle_set(sampler, init_rng, n, stats=stats)
+    if rb_param and cond_fn is None:
+        cond_fn = lambda x_prev, x_new: x_new[..., 0]
+    moves = {}
+    if config.move_steps:
+        pset.path = rb.PathRecord.start(pset.states, model.dim_noise)
+        moves = dict(move_steps=config.move_steps, move_rng=move_rng[0],
+                     init_sampler=sampler)
 
     def summarize(pset, k, t, ess, log_ml, resampled):
         w = pset.weights
@@ -576,14 +570,13 @@ def run_filter(model, proposal, meas_model, times, ys, config, *,
             var = np.concatenate([var_b, var_s])
         else:
             mean, var = _weighted_mean_var(pset.states, w)
-        if method == "rb_param":
+        if rb_param:
             est = family.mean(pset.stats)
             extra["theta_mean"] = float(w @ est) if np.all(np.isfinite(est)) \
                 else float("nan")
-            draws = family.sample(pset.stats, summary_rng, config.theta_samples)
-            wrep = np.repeat(w / config.theta_samples, config.theta_samples)
-            qs = _weighted_quantiles(draws.ravel(), wrep, (0.05, 0.5, 0.95))
-            extra["theta_q05"], extra["theta_q50"], extra["theta_q95"] = map(float, qs)
+            extra["theta_q05"], extra["theta_q50"], extra["theta_q95"] = \
+                _theta_quantiles(family, pset.stats, w,
+                                 config.theta_samples * pset.n, summary_rng)
         return SummaryRow(k=k, t=t, mean=mean, var=var, ess=ess,
                           log_marginal=log_ml, resampled=resampled, extra=extra)
 
@@ -600,10 +593,8 @@ def run_filter(model, proposal, meas_model, times, ys, config, *,
             pset, st = sir_step(pset, model, None, meas_model, y_k, grid,
                                 **step)
         elif method == "rb_gauss":
-            from . import raoblackwell as rb
             pset, st = rb.rb_gauss_step(pset, model, None, y_k, grid, **step)
-        elif method == "rb_param":
-            from . import raoblackwell as rb
+        elif rb_param:
             pset, st = rb.rb_param_step(pset, model, None, family, y_k, grid,
                                         cond_fn=cond_fn, **step, **moves)
         else:

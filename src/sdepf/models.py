@@ -438,7 +438,7 @@ def epidemic_predict(pset, model, family, t_now, horizon, n_sims, rng,
     w = pset.weights
     idx = rng.choice(pset.n, size=n_sims, p=w / w.sum())
     states = pset.states[idx].copy()
-    n_draw = family.sample(pset.stats[idx], rng, 1)[:, 0]
+    n_draw = family.sample(pset.stats[idx], rng, 1)
 
     q = model.diffusion.at(t_now)[0, 0]
     thetas = np.empty((n_sims, horizon.size))

@@ -552,7 +552,9 @@ class ConjugateFamily:
         mean: stats -> posterior mean of the parameter (NaN if undefined).
         point_estimate: stats -> always-finite point value (posterior
             mean with a fallback), used by proposal builders.
-        sample: (stats, rng, m) -> (n, m) posterior draws.
+        sample: (stats, rng, counts) -> posterior draws, counts[i] from
+            particle i (counts an int or an (n,) array), concatenated
+            in particle order.
     """
 
     name: str
@@ -562,6 +564,16 @@ class ConjugateFamily:
     mean: object
     point_estimate: object
     sample: object
+
+
+def _by_counts(shape, scale, counts):
+    """(shape, number, scale) for counts[i] draws of row i, in row order.
+    A shape all rows share, as in a filter, is passed as a scalar: numpy
+    draws the same numbers from it, faster."""
+    counts = np.broadcast_to(counts, shape.shape)
+    shared = np.all(shape == shape[0])
+    return (shape[0] if shared else np.repeat(shape, counts), counts.sum(),
+            np.repeat(scale, counts))
 
 
 def invchi2_family(nu0, s20):
@@ -611,10 +623,10 @@ def invchi2_family(nu0, s20):
         with np.errstate(divide="ignore", invalid="ignore"):
             return np.where(nu > 2.0, nu * s2 / (nu - 2.0), s2)
 
-    def sample(stats, rng, m):
-        nu, s2 = stats[..., 0], stats[..., 1]
-        chi = rng.chisquare(np.broadcast_to(nu[:, None], (nu.size, m)))
-        return (nu * s2)[:, None] / chi
+    def sample(stats, rng, counts):
+        nu, m, nu_s2 = _by_counts(stats[..., 0], stats[..., 0] * stats[..., 1],
+                                  counts)
+        return nu_s2 / rng.chisquare(nu, m)
 
     return ConjugateFamily("invchi2", init_stats, update, log_marginal,
                            mean, point_estimate, sample)
@@ -666,10 +678,10 @@ def gamma_poisson_family(alpha0, beta0):
     def mean(stats):
         return stats[..., 0] / stats[..., 1]
 
-    def sample(stats, rng, m):
-        alpha, beta = stats[..., 0], stats[..., 1]
-        return rng.gamma(np.broadcast_to(alpha[:, None], (alpha.size, m)),
-                         1.0 / np.broadcast_to(beta[:, None], (beta.size, m)))
+    def sample(stats, rng, counts):
+        alpha, m, scale = _by_counts(stats[..., 0], 1 / stats[..., 1], counts)
+        # rng.gamma(a, b) is b * rng.standard_gamma(a), bit for bit.
+        return rng.standard_gamma(alpha, m) * scale
 
     return ConjugateFamily("gamma_poisson", init_stats, update, log_marginal,
                            mean, mean, sample)

@@ -14,7 +14,7 @@ discretization gap to account for.
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import integrate, special
+from scipy import integrate, optimize, special
 from scipy.special import gammaln
 
 from sdepf.exceptions import SingularMatrixError
@@ -170,6 +170,49 @@ def gamma_poisson_marginal_quad(d, theta, alpha, beta):
     val, _ = integrate.quad(integrand, 0.0, mode * 60.0, limit=400,
                             epsabs=1e-300, epsrel=1e-12)
     return np.log(val)
+
+
+def mixture_cdf(kind, stats, weights, t):
+    """CDF at t of the weighted mixture of per-particle posteriors.
+
+    Args:
+        kind: "invchi2" (rows (nu, s2), theta = nu s2 / chi2_nu) or
+            "gamma" (rows (alpha, beta), theta ~ Gamma(alpha, rate beta)).
+        stats: (N, 2) posterior statistics.
+        weights: (N,) mixture weights summing to one.
+        t: point, > 0.
+
+    Returns:
+        sum_i w_i P(theta_i <= t), from the regularized incomplete gamma
+        function: P(nu s2 / X <= t) = Q(nu / 2, nu s2 / (2 t)) for
+        X ~ chi2_nu, and P(G / beta <= t) = P(alpha, beta t).
+    """
+    a, b = stats[:, 0], stats[:, 1]
+    if kind == "invchi2":
+        comp = special.gammaincc(0.5 * a, 0.5 * a * b / t)
+    elif kind == "gamma":
+        comp = special.gammainc(a, b * t)
+    else:
+        raise ValueError(kind)
+    return float(np.dot(weights, comp))
+
+
+def mixture_quantiles(kind, stats, weights, qs):
+    """Exact quantiles of the mixture in mixture_cdf.
+
+    Brackets each quantile by doubling and halving from 1, then solves
+    mixture_cdf = q with brentq to a relative tolerance of 1e-13.
+    """
+    out = []
+    for q in qs:
+        f = lambda t: mixture_cdf(kind, stats, weights, t) - q
+        lo = hi = 1.0
+        while f(hi) < 0:
+            hi *= 2.0
+        while f(lo) > 0:
+            lo *= 0.5
+        out.append(optimize.brentq(f, lo, hi, xtol=1e-300, rtol=1e-13))
+    return np.array(out)
 
 
 def _gauss_legendre(a, b, n_nodes, n_panels):

@@ -630,6 +630,42 @@ out = %s
     assert "inverse overflows" in err
 
 
+@pytest.mark.parametrize("kind, section, key, value", [
+    ("lineargauss", "model", "obs_var", "nan"),
+    ("lineargauss", "model", "obs_var", "inf"),
+    ("lineargauss", "model", "obs_var", "-inf"),
+    ("epidemic", "prior", "beta0", "nan"),
+])
+def test_non_finite_config_value_exits_2(tmp_path, capsys, kind, section,
+                                         key, value):
+    # Every range check has the form "x <= 0", which NaN passes, so a
+    # non-finite value must be refused when the value is read.
+    meas = tmp_path / "m.csv"
+    meas.write_text("t,y\n0.5,0.1\n1.0,0.2\n", encoding="utf-8")
+    bad = "%s = %s" % (key, value)
+    cfg = write_config(tmp_path / "f.ini", """
+[model]
+kind = %s
+%s
+
+[prior]
+%s
+
+[filter]
+particles = 20
+
+[io]
+measurements = %s
+out = %s
+""" % (kind, bad if section == "model" else "",
+       bad if section == "prior" else "", meas, tmp_path / "run"))
+    assert sdepf.cli.main(["filter", "--config", cfg]) == 2
+    err = capsys.readouterr().err
+    assert "configuration error: [%s] %s must be finite, got '%s'" \
+        % (section, key, value) in err
+    assert not (tmp_path / "run").exists()
+
+
 def test_output_path_is_a_file_exits_4(tmp_path, capsys):
     meas = tmp_path / "m.csv"
     meas.write_text("t,y\n0.5,0.1\n", encoding="utf-8")

@@ -7,13 +7,15 @@ from hypothesis import strategies as st
 
 from sdepf import (CondGaussModel, FilterConfig, GaussianBlock, ParticleSet,
                    SdeModel, TimeGrid, effective_sample_size, finish_step,
-                   gaussian_measurement, init_particle_set, invchi2_family,
-                   models, normalize_log_weights, prior_proposal, run_filter,
-                   seed_streams, sir_step, systematic_resample,
-                   systematic_resample_indices)
+                   gamma_poisson_family, gaussian_measurement,
+                   init_particle_set, invchi2_family, models,
+                   normalize_log_weights, prior_proposal, run_filter,
+                   seed_streams, sir_step, systematic_counts,
+                   systematic_resample, systematic_resample_indices)
 from sdepf.exceptions import DegeneracyError, IntegrationError
+from sdepf.filtering import _theta_quantiles, _uniform_quantile
 
-from oracles import chain_kalman_filter
+from oracles import chain_kalman_filter, mixture_cdf, mixture_quantiles
 
 
 class TestNormalizeLogWeights:
@@ -141,6 +143,134 @@ class TestSystematicResampling:
         np.testing.assert_array_equal(out.states[:, 0], [2.0, 2.0, 2.0])
         np.testing.assert_array_equal(out.gauss.mean[:, 0], [2.0, 2.0, 2.0])
         np.testing.assert_array_equal(out.stats, np.tile([4.0, 5.0], (3, 1)))
+
+
+class TestSystematicCounts:
+    """Allocation of the theta summary's K draws over the particles."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.lists(st.one_of(st.just(0.0),
+                              st.floats(min_value=1e-12, max_value=1.0)),
+                    min_size=1, max_size=40),
+           st.integers(min_value=1, max_value=5000),
+           st.integers(min_value=0, max_value=2 ** 31))
+    def test_sum_and_floor_ceil(self, raw, k, seed):
+        w = np.array(raw)
+        if w.sum() == 0.0:
+            w[0] = 1.0
+        w = w / w.sum()
+        counts = systematic_counts(w, k, np.random.default_rng(seed))
+        assert counts.shape == w.shape
+        assert counts.dtype.kind == "i"
+        assert counts.sum() == k
+        # Within one of k w_i (the 1e-9 covers the rounding of cumsum).
+        assert np.all(np.abs(counts - k * w) < 1.0 + 1e-9)
+        assert np.all(counts[w == 0.0] == 0)
+
+    def test_single_particle_takes_everything(self):
+        for seed in range(5):
+            counts = systematic_counts(np.array([1.0]), 64,
+                                       np.random.default_rng(seed))
+            np.testing.assert_array_equal(counts, [64])
+
+    def test_dominant_weight(self):
+        w = np.array([1e-300, 1.0 - 2e-12, 1e-12, 0.0])
+        for seed in range(20):
+            counts = systematic_counts(w, 256, np.random.default_rng(seed))
+            np.testing.assert_array_equal(counts, [0, 256, 0, 0])
+
+    def test_uniform_weights_give_equal_shares(self):
+        counts = systematic_counts(np.full(5, 0.2), 320,
+                                   np.random.default_rng(3))
+        np.testing.assert_array_equal(counts, np.full(5, 64))
+
+    def test_one_uniform_per_call(self):
+        rng = np.random.default_rng(9)
+        systematic_counts(np.full(7, 1.0 / 7.0), 448, rng)
+        ref = np.random.default_rng(9)
+        ref.random()
+        assert rng.bit_generator.state == ref.bit_generator.state
+
+
+class TestThetaQuantiles:
+    """The cdrb_param summary against the exact mixture quantile."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(min_value=1, max_value=3000),
+           st.floats(min_value=0.0, max_value=1.0),
+           st.integers(min_value=0, max_value=2 ** 31))
+    def test_uniform_quantile_is_np_interp(self, k, q, seed):
+        v = np.sort(np.random.default_rng(seed).standard_normal(k))
+        assert _uniform_quantile(v, q) == \
+            np.interp(q, (np.arange(k) + 1) / k, v)
+
+    @pytest.mark.parametrize("kind", ["invchi2", "gamma"])
+    @pytest.mark.parametrize("ess_target, spread", [(1.0, 0.05), (0.2, 1.13)])
+    def test_matches_exact_mixture_quantile(self, kind, ess_target, spread):
+        n = 5000
+        k = 64 * n
+        rng = np.random.default_rng(41)
+        z = np.sort(rng.standard_normal(n))
+        if kind == "invchi2":
+            fam = invchi2_family(2.0, 0.2)
+            stats = np.column_stack([np.full(n, 9.0), 0.4 * np.exp(0.5 * z)])
+        else:
+            fam = gamma_poisson_family(10.0, 0.001)
+            stats = np.column_stack([np.full(n, 40.0),
+                                     1e-3 * np.exp(0.5 * z)])
+        # Lognormal weights that favour one end of the components, as a
+        # likelihood does; spread sets ESS / N.
+        w = np.exp(spread * (0.6 * z + 0.8 * rng.standard_normal(n)))
+        w /= w.sum()
+        assert abs(1.0 / np.sum(w * w) / n - ess_target) < 0.02
+
+        qs = (0.05, 0.5, 0.95)
+        est = _theta_quantiles(fam, stats, w, k, np.random.default_rng(7))
+        exact = mixture_quantiles(kind, stats, w, qs)
+        assert np.all(np.diff(est) > 0)
+        log_term = np.log(2.0 / 1e-9)
+        for q, q_hat, q_exact in zip(qs, est, exact):
+            assert abs(mixture_cdf(kind, stats, w, q_exact) - q) < 1e-10
+            # Bound on |F(q_hat) - q|, F the exact mixture CDF.  q_hat
+            # lies between the sorted draws that bracket q K, so it can
+            # leave [F^-1(q - d), F^-1(q + d)] only if the empirical CDF
+            # F_K of the K draws misses F by d - 1/K at one of those two
+            # points t.  There F_K(t) - F(t) = A + B:
+            # * A = sum_i (c_i / K - w_i) F_i(t), the allocation error.
+            #   c_i - K w_i = e_i - e_(i-1) with every |e_i| < 1, so by
+            #   Abel summation |A| <= (1 + sum_i |F_i(t) - F_(i+1)(t)|)
+            #   / K.  The components are in stochastic order along the
+            #   slots (z is sorted, the shape is shared), so F_i(t) is
+            #   monotone in i and |A| <= 2 / K.
+            # * B, given the counts, is a mean of K independent centred
+            #   indicators with variance at most v / K, v = p (1 - p)
+            #   for the p in [q - 0.02, q + 0.02] nearest 1/2 (for
+            #   d < 0.02, F(t) + A lies there).  Bernstein:
+            #   P(|B| >= x) <= 2 exp(-K x^2 / (2 (v + x / 3))), and x
+            #   below makes that 1e-9.
+            p = min(max(0.5, q - 0.02), q + 0.02)
+            v = p * (1.0 - p)
+            x = (log_term / 3.0
+                 + np.sqrt(log_term ** 2 / 9.0 + 2.0 * log_term * k * v)) / k
+            bound = 3.0 / k + x
+            assert bound < 0.02
+            err = abs(mixture_cdf(kind, stats, w, q_hat) - q)
+            assert err <= bound, (q, q_hat, q_exact, err, bound)
+
+    def test_run_filter_draws_theta_samples_times_n(self):
+        # The initial row's summary is K = theta_samples * N draws from
+        # the summary generator, the fourth child of the seed tree.
+        model = models.pendulum_model(
+            1.0, 0.01, initial_sampler=lambda g: g.normal(size=2))
+        fam = invchi2_family(3.0, 0.4)
+        cfg = FilterConfig(n_particles=3, n_steps=2, seed=4, theta_samples=167)
+        res = run_filter(model, prior_proposal(model), None, [0.1], [0.2],
+                         cfg, method="rb_param", family=fam)
+        row = res.summaries[0]
+        expect = _theta_quantiles(fam, fam.init_stats(3), np.full(3, 1 / 3),
+                                  501, seed_streams(4)[3])
+        assert [row.extra["theta_q05"], row.extra["theta_q50"],
+                row.extra["theta_q95"]] == expect
 
 
 class TestFinishStep:

@@ -174,9 +174,9 @@ class TestInvChi2Family:
         fam = invchi2_family(2.0, 0.2)
         stats = np.array([[10.0, 0.5]])
         draws = fam.sample(stats, np.random.default_rng(0), 200000)
-        assert draws.shape == (1, 200000)
+        assert draws.shape == (200000,)
         # nu s2 / draws is chi-squared with nu degrees of freedom.
-        transformed = 10.0 * 0.5 / draws[0]
+        transformed = 10.0 * 0.5 / draws
         assert np.mean(transformed) == pytest.approx(10.0, rel=0.02)
         assert np.mean(draws) == pytest.approx(10.0 * 0.5 / 8.0, rel=0.05)
 
@@ -243,9 +243,45 @@ class TestGammaPoissonFamily:
         assert fam.mean(stats)[0] == pytest.approx(1e4, rel=1e-12)
         assert fam.point_estimate(stats)[0] == pytest.approx(1e4, rel=1e-12)
         draws = fam.sample(stats, np.random.default_rng(1), 100000)
-        assert draws.shape == (1, 100000)
+        assert draws.shape == (100000,)
         assert np.mean(draws) == pytest.approx(1e4, rel=0.02)
         assert np.std(draws) == pytest.approx(1e4 / np.sqrt(10.0), rel=0.03)
+
+
+class TestFamilySampleLayout:
+    """sample(stats, rng, counts): counts[i] draws of particle i, in
+    particle order, bit for bit those of a per-row shape parameter."""
+
+    @staticmethod
+    def _per_row(kind, stats, rng, counts):
+        a, b = np.repeat(stats[:, 0], counts), np.repeat(stats[:, 1], counts)
+        if kind == "invchi2":
+            return a * b / rng.chisquare(a)
+        return rng.gamma(a, 1.0 / b)
+
+    @pytest.mark.parametrize("kind", ["invchi2", "gamma"])
+    @pytest.mark.parametrize("shared_shape", [True, False])
+    def test_bit_identical_to_per_row_shape(self, kind, shared_shape):
+        rng = np.random.default_rng(12)
+        n = 300
+        shape = np.full(n, 7.0 if kind == "invchi2" else 31.0)
+        if not shared_shape:
+            shape[::7] += 2.0
+        scale = rng.uniform(0.1, 2.0, n) * (1.0 if kind == "invchi2" else 1e-3)
+        stats = np.column_stack([shape, scale])
+        fam = invchi2_family(2.0, 0.2) if kind == "invchi2" \
+            else gamma_poisson_family(10.0, 0.001)
+        counts = rng.integers(0, 6, n)
+        counts[:3] = 0
+        ours = fam.sample(stats, np.random.default_rng(5), counts)
+        ref = self._per_row(kind, stats, np.random.default_rng(5), counts)
+        assert ours.shape == (counts.sum(),)
+        np.testing.assert_array_equal(ours, ref)
+        # An int count is the same as that count for every particle.
+        np.testing.assert_array_equal(
+            fam.sample(stats, np.random.default_rng(6), 4),
+            self._per_row(kind, stats, np.random.default_rng(6),
+                          np.full(n, 4)))
 
 
 def _decoupled_cond_model():
