@@ -14,8 +14,7 @@ from .sde import (BrownianIncrements, DiffusionSpec, OdeField, SdeModel,
                   integrate_sde, sample_brownian_increments)
 from .girsanov import (CoupledResult, ImportanceSpec, SplitCoupledResult,
                        estimate_kl, prior_proposal, propagate_coupled,
-                       propagate_coupled_split, step_llr, step_llr_singular,
-                       step_scaled_process)
+                       propagate_coupled_split, step_llr)
 from .filtering import (FilterConfig, FilterResult, MeasurementModel,
                         ParticleSet, StepStats, SummaryRow,
                         effective_sample_size, finish_step,
@@ -51,6 +50,6 @@ __all__ = [
     "rb_param_step", "repair_cov", "run_filter",
     "sample_brownian_increments",
     "finish_step", "seed_streams", "sir_step", "step_llr",
-    "step_llr_singular", "step_scaled_process", "systematic_counts",
+    "systematic_counts",
     "systematic_resample", "systematic_resample_indices",
 ]

@@ -68,7 +68,24 @@ class TimeMatrix:
 
 def mat_vec(mat, vec):
     """Batched matrix-vector product, mat (..., m, n) with vec (..., n)."""
-    return np.matmul(mat, vec[..., None])[..., 0]
+    return mat_mul(mat, vec[..., None])[..., 0]
+
+
+def mat_mul(a, b):
+    """Batched matrix product a @ b.
+
+    1x1 operands multiply elementwise, with the bits of np.matmul: that
+    sums the product into a zero, so + 0.0 turns a -0 product into +0.
+    Where both are NaN, np.matmul keeps a's NaN but an elementwise
+    product keeps a broadcast operand's, so a broadcast b holding a NaN
+    goes to np.matmul, as does every other shape.
+    """
+    if a.shape[-2:] == (1, 1) and b.shape[-2:] == (1, 1):
+        out = a * b
+        out += 0.0
+        if out.size == b.size or not np.isnan(b).any():
+            return out
+    return np.matmul(a, b)
 
 
 def quad_form(vec, mat):

@@ -20,6 +20,7 @@ import sys
 import numpy as np
 
 from . import models
+from ._linalg import mat_mul, mat_vec
 from .exceptions import (ConfigError, DegeneracyError, DiffusionError,
                          IntegrationError, SingularMatrixError)
 from .filtering import (FilterConfig, gaussian_measurement, run_filter,
@@ -728,6 +729,17 @@ def cmd_selftest(cfg):
     checks.append(("summary allocation counts sum to K, within floor/ceil",
                    all(c.sum() == 256 and np.all(np.abs(c - 256 * w) < 1)
                        for c in counts)))
+
+    # The 1x1 fast path of mat_mul and mat_vec has np.matmul's bits; this
+    # fails on a numpy whose matmul no longer turns -0 products into +0.
+    vals = np.array([0.0, -0.0, np.inf, -np.inf, np.nan, 5e-324, -1.5])
+    a = np.repeat(vals, vals.size).reshape(-1, 1, 1)
+    b = np.tile(vals, vals.size).reshape(-1, 1, 1)
+    with np.errstate(invalid="ignore", under="ignore"):
+        ref = np.matmul(a, b)
+        same = mat_mul(a, b).tobytes() == ref.tobytes() \
+            and mat_vec(a, b[..., 0]).tobytes() == ref[..., 0].tobytes()
+    checks.append(("1x1 products equal np.matmul bit for bit", same))
 
     failed = 0
     for name, passed in checks:

@@ -516,6 +516,8 @@ def run_filter(model, proposal, meas_model, times, ys, config, *,
     Returns:
         FilterResult; summaries[0] describes the initial population.
     """
+    if method not in ("sir", "sir_split", "rb_gauss", "rb_param"):
+        raise ValueError("unknown method %r" % (method,))
     times = np.asarray(times, dtype=float)
     if times.ndim != 1:
         raise ValueError("times must be 1-d")
@@ -594,11 +596,9 @@ def run_filter(model, proposal, meas_model, times, ys, config, *,
                                 **step)
         elif method == "rb_gauss":
             pset, st = rb.rb_gauss_step(pset, model, None, y_k, grid, **step)
-        elif rb_param:
+        else:
             pset, st = rb.rb_param_step(pset, model, None, family, y_k, grid,
                                         cond_fn=cond_fn, **step, **moves)
-        else:
-            raise ValueError("unknown method %r" % (method,))
 
         log_ml += st.log_ml_increment
         summaries.append(summarize(pset, k, float(t_k), st.ess, log_ml,

@@ -30,15 +30,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._linalg import as_square_matrix, guarded_inv, mat_vec, quad_form
+from ._linalg import (as_square_matrix, guarded_inv, mat_mul, mat_vec,
+                      quad_form)
 from .exceptions import IntegrationError
 from .sde import BrownianIncrements, DiffusionSpec
 
 __all__ = [
     "ImportanceSpec", "CoupledResult", "SplitCoupledResult",
-    "prior_proposal", "step_scaled_process", "step_llr",
-    "step_llr_singular", "propagate_coupled", "propagate_coupled_split",
-    "estimate_kl",
+    "prior_proposal", "step_llr", "propagate_coupled",
+    "propagate_coupled_split", "estimate_kl",
 ]
 
 
@@ -97,10 +97,20 @@ def prior_proposal(model):
     Works for SdeModel, SplitSdeModel and any model exposing a
     drift_stoch attribute for its noise-driven block.
     """
+    return ImportanceSpec(drift=_prior_drift(model), dispersion=None)
+
+
+def _prior_drift(model):
     stoch = getattr(model, "drift_stoch", None)
-    if stoch is not None:
-        return ImportanceSpec(drift=stoch, dispersion=None)
-    return ImportanceSpec(drift=model.drift, dispersion=None)
+    return model.drift if stoch is None else stoch
+
+
+def _is_prior(model, imp):
+    """Whether imp is the bootstrap proposal of model.  The kernels then
+    alias the scaled state to the proposal state, evaluate each drift
+    once and leave Lambda at exactly zero, which is what the full
+    recursion computes there."""
+    return imp.dispersion is None and imp.drift is _prior_drift(model)
 
 
 def _matrix_at(value, t):
@@ -129,22 +139,35 @@ def _matrix_constant(value):
 class _LlrOps:
     """Inverses used by the log-likelihood-ratio step, built once per time.
 
-    scale is L B^-1 (None when B is declared identical to L), a_lin is
-    L^-T Q^-1 and a_quad is (L Q L^T)^-1.
+    noise_mat is the proposal's dispersion B, scale is L B^-1 (None when
+    B is declared identical to L), a_lin is L^-T Q^-1 and a_quad is
+    (L Q L^T)^-1.
     """
 
     def __init__(self, l_mat, b_mat, q_mat, t):
         l_inv = guarded_inv(l_mat, "dispersion L", t)
         q_inv = guarded_inv(q_mat, "diffusion Q", t)
-        self.l_mat = l_mat
         self.l_inv = l_inv
-        self.b_mat = b_mat
+        self.noise_mat = l_mat if b_mat is None else b_mat
         self.scale = None if b_mat is None \
-            else np.matmul(l_mat, guarded_inv(b_mat, "proposal dispersion B", t))
-        self.a_lin = np.matmul(np.swapaxes(l_inv, -1, -2), q_inv)
+            else mat_mul(l_mat, guarded_inv(b_mat, "proposal dispersion B", t))
+        self.a_lin = mat_mul(np.swapaxes(l_inv, -1, -2), q_inv)
         self.a_quad = guarded_inv(
-            np.matmul(np.matmul(l_mat, q_mat), np.swapaxes(l_mat, -1, -2)),
+            mat_mul(mat_mul(l_mat, q_mat), np.swapaxes(l_mat, -1, -2)),
             "L Q L^T", t)
+
+
+def _ops_at(model, imp, grid):
+    """t -> _LlrOps at t, built once per interval when the model's and
+    the proposal's matrices are all constant."""
+    def build(t):
+        return _LlrOps(model.dispersion.at(t), _matrix_at(imp.dispersion, t),
+                       model.diffusion.at(t), t)
+    if model.dispersion.constant and model.diffusion.constant \
+            and _matrix_constant(imp.dispersion):
+        ops = build(grid.t0)
+        return lambda t: ops
+    return build
 
 
 def _llr_kernel(llr, f_val, g_val, ops, dt, dbeta):
@@ -155,30 +178,6 @@ def _llr_kernel(llr, f_val, g_val, ops, dt, dbeta):
     lin = np.sum(d * mat_vec(ops.a_lin, dbeta), axis=-1)
     quad = quad_form(d, ops.a_quad)
     return llr + lin - 0.5 * quad * dt
-
-
-def step_scaled_process(s_star, dispersion_l, dispersion_b, t, ds):
-    """Advance the scaled process: s* + L(t) B(t)^-1 ds.
-
-    Args:
-        s_star: current scaled states (..., n).
-        dispersion_l: model dispersion L, array or callable of t.
-        dispersion_b: proposal dispersion B, array, callable, or None for
-            "B is L" (increment passes through unchanged).
-        t: current time.
-        ds: realized proposal increments (..., n).
-
-    Returns:
-        Updated scaled states.
-    """
-    s_star = np.asarray(s_star, dtype=float)
-    ds = np.asarray(ds, dtype=float)
-    if dispersion_b is None:
-        return s_star + ds
-    l_mat = _matrix_at(dispersion_l, t)
-    b_mat = _matrix_at(dispersion_b, t)
-    scale = np.matmul(l_mat, guarded_inv(b_mat, "proposal dispersion B", t))
-    return s_star + mat_vec(scale, ds)
 
 
 def step_llr(llr, f_at_sstar, g_at_s, dispersion_l, dispersion_b,
@@ -205,18 +204,6 @@ def step_llr(llr, f_at_sstar, g_at_s, dispersion_l, dispersion_b,
                        np.asarray(f_at_sstar, dtype=float),
                        np.asarray(g_at_s, dtype=float),
                        ops, dt, np.asarray(dbeta, dtype=float))
-
-
-def step_llr_singular(llr, f2_at_sstar, g2_at_s, dispersion_l, dispersion_b,
-                      diffusion_q, t, dt, dbeta):
-    """Log-likelihood-ratio step for split models.
-
-    Identical arithmetic to step_llr; the drifts are the stochastic-block
-    drift f2 evaluated at the joint scaled state (s1*, s2*) and the
-    proposal drift g2 evaluated at the joint proposal state (s1, s2).
-    """
-    return step_llr(llr, f2_at_sstar, g2_at_s, dispersion_l, dispersion_b,
-                    diffusion_q, t, dt, dbeta)
 
 
 def _increment_values(incs, grid):
@@ -258,36 +245,34 @@ def propagate_coupled(model, imp, x_prev, grid, incs, record_noise=False):
     """
     x = np.asarray(x_prev, dtype=float)
     vals = _increment_values(incs, grid)
+    prior = _is_prior(model, imp)
     s = x.copy()
-    s_star = x.copy()
+    s_star = s if prior else x.copy()
     llr = np.zeros(x.shape[:-1])
     dt = grid.dt
     noise = np.empty(vals.shape) if record_noise else None
-
-    hoisted = model.dispersion.constant and model.diffusion.constant \
-        and _matrix_constant(imp.dispersion)
-    ops = _LlrOps(model.dispersion.at(grid.t0),
-                  _matrix_at(imp.dispersion, grid.t0),
-                  model.diffusion.at(grid.t0), grid.t0) if hoisted else None
+    ops_at = _ops_at(model, imp, grid)
 
     for j in range(grid.n_steps):
         t = grid.t0 + j * dt
-        if not hoisted:
-            ops = _LlrOps(model.dispersion.at(t), _matrix_at(imp.dispersion, t),
-                          model.diffusion.at(t), t)
+        ops = ops_at(t)
         g_val = np.asarray(imp.drift(s, t), dtype=float)
-        f_val = np.asarray(model.drift(s_star, t), dtype=float)
+        f_val = g_val if prior \
+            else np.asarray(model.drift(s_star, t), dtype=float)
         _check_finite(g_val, "proposal drift", t)
-        _check_finite(f_val, "drift", t)
+        if not prior:
+            _check_finite(f_val, "drift", t)
         db = vals[..., j, :]
-        noise_mat = ops.l_mat if ops.b_mat is None else ops.b_mat
-        ds = g_val * dt + mat_vec(noise_mat, db)
-        llr = _llr_kernel(llr, f_val, g_val, ops, dt, db)
+        ds = g_val * dt + mat_vec(ops.noise_mat, db)
         s = s + ds
         step = ds if ops.scale is None else mat_vec(ops.scale, ds)
         if record_noise:
             noise[..., j, :] = _model_increment(ops, step, f_val, dt)
-        s_star = s_star + step
+        if prior:
+            s_star = s
+        else:
+            llr = _llr_kernel(llr, f_val, g_val, ops, dt, db)
+            s_star = s_star + step
         _check_finite(s_star, "state", t + dt)
     _check_finite(llr, "log likelihood ratio", grid.t1)
     return CoupledResult(state=s_star, proposal_state=s, llr=llr,
@@ -322,25 +307,16 @@ def propagate_coupled_split(model, imp, x1_prev, x2_prev, grid, incs,
     llr = np.zeros(s2.shape[:-1])
     dt = grid.dt
     noise = np.empty(vals.shape) if record_noise else None
-
-    hoisted = model.dispersion.constant and model.diffusion.constant \
-        and _matrix_constant(imp.dispersion)
-    ops = _LlrOps(model.dispersion.at(grid.t0),
-                  _matrix_at(imp.dispersion, grid.t0),
-                  model.diffusion.at(grid.t0), grid.t0) if hoisted else None
-    # Under the bootstrap proposal the scaled pair is the proposal pair
-    # and Lambda stays exactly zero, so neither is computed twice.
-    bootstrap = imp.dispersion is None and imp.drift is model.drift_stoch
+    ops_at = _ops_at(model, imp, grid)
+    prior = _is_prior(model, imp)
 
     for j in range(grid.n_steps):
         t = grid.t0 + j * dt
-        if not hoisted:
-            ops = _LlrOps(model.dispersion.at(t), _matrix_at(imp.dispersion, t),
-                          model.diffusion.at(t), t)
+        ops = ops_at(t)
         g_val = np.asarray(imp.drift(s1, s2, t), dtype=float)
         f1_val = np.asarray(model.drift_det(s1, s2, t), dtype=float)
         checks = [(g_val, "proposal drift"), (f1_val, "drift")]
-        if bootstrap:
+        if prior:
             f2_val = g_val
         else:
             f2_val = np.asarray(model.drift_stoch(s1_star, s2_star, t),
@@ -351,8 +327,7 @@ def propagate_coupled_split(model, imp, x1_prev, x2_prev, grid, incs,
         for arr, what in checks:
             _check_finite(arr, what, t)
         db = vals[..., j, :]
-        noise_mat = ops.l_mat if ops.b_mat is None else ops.b_mat
-        ds2 = g_val * dt + mat_vec(noise_mat, db)
+        ds2 = g_val * dt + mat_vec(ops.noise_mat, db)
         step = ds2 if ops.scale is None else mat_vec(ops.scale, ds2)
         if record_noise:
             noise[..., j, :] = _model_increment(ops, step, f2_val, dt)
@@ -360,7 +335,7 @@ def propagate_coupled_split(model, imp, x1_prev, x2_prev, grid, incs,
         s2 = s2 + ds2
         if model.constrain is not None:
             s1, s2 = model.constrain(s1, s2)
-        if bootstrap:
+        if prior:
             s1_star, s2_star = s1, s2
         else:
             llr = _llr_kernel(llr, f2_val, g_val, ops, dt, db)

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._linalg import symmetrize
+from ._linalg import mat_mul, symmetrize
 from .exceptions import IntegrationError
 from .girsanov import ImportanceSpec
 from .raoblackwell import _gaussian_condition
@@ -72,7 +72,7 @@ def ekf_predict(moments, drift, jacobian, q_mat, grid):
             f_jac = np.asarray(jacobian(mean, t), dtype=float)
             if not (np.all(np.isfinite(f_val)) and np.all(np.isfinite(f_jac))):
                 raise IntegrationError("EKF drift non-finite at t=%g" % t)
-            fp = np.matmul(f_jac, cov)
+            fp = mat_mul(f_jac, cov)
             cov = symmetrize(cov + (fp + np.swapaxes(fp, -1, -2) + q) * dt)
             mean = mean + f_val * dt
     if not (np.all(np.isfinite(mean)) and np.all(np.isfinite(cov))):

@@ -26,12 +26,12 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import gammaln
 
-from ._linalg import (TimeMatrix, guarded_inv, log_mvn_density, mat_vec,
-                      symmetrize)
+from ._linalg import (TimeMatrix, guarded_inv, log_mvn_density, mat_mul,
+                      mat_vec, symmetrize)
 from .exceptions import IntegrationError
 from .filtering import (ParticleSet, _advance, _chunk_map, _propagate,
                         draw_increments, finish_step, init_particle_set)
-from .girsanov import (_LlrOps, _llr_kernel, _matrix_at, _matrix_constant,
+from .girsanov import (_is_prior, _llr_kernel, _matrix_at, _ops_at,
                        prior_proposal)
 from .sde import BrownianIncrements, DiffusionSpec
 
@@ -112,8 +112,8 @@ def repair_cov(cov):
 
 def _block_step(mean, cov, f_mat, shift, v_mat, q_eta, dt):
     mean_new = mean + (mat_vec(f_mat, mean) + shift) * dt
-    fp = np.matmul(f_mat, cov)
-    vqv = np.matmul(np.matmul(v_mat, q_eta), np.swapaxes(v_mat, -1, -2))
+    fp = mat_mul(f_mat, cov)
+    vqv = mat_mul(mat_mul(v_mat, q_eta), np.swapaxes(v_mat, -1, -2))
     cov_new = cov + (fp + np.swapaxes(fp, -1, -2) + vqv) * dt
     return mean_new, symmetrize(cov_new)
 
@@ -153,14 +153,13 @@ def _gaussian_condition(mean, cov, h_mat, r_mat, y, t=None):
     inverse).
     """
     pred = mat_vec(h_mat, mean)
-    pht = np.matmul(cov, np.swapaxes(h_mat, -1, -2))
-    s_mat = np.matmul(h_mat, pht) + r_mat
+    pht = mat_mul(cov, np.swapaxes(h_mat, -1, -2))
+    s_mat = mat_mul(h_mat, pht) + r_mat
     s_inv = guarded_inv(s_mat, "innovation covariance", t)
-    gain = np.matmul(pht, s_inv)
+    gain = mat_mul(pht, s_inv)
     resid = np.asarray(y, dtype=float) - pred
     mean_new = mean + mat_vec(gain, resid)
-    cov_new = cov - np.matmul(np.matmul(gain, s_mat),
-                              np.swapaxes(gain, -1, -2))
+    cov_new = cov - mat_mul(mat_mul(gain, s_mat), np.swapaxes(gain, -1, -2))
     return mean_new, repair_cov(cov_new), pred, s_mat, s_inv
 
 
@@ -238,41 +237,39 @@ def rb_gauss_step(pset, model, imp, y, grid, *, builder=None,
         imp_c = builder(chunk, grid, y)
         x2, x3 = model.split(chunk.states)
         s2, s3 = x2.copy(), x3.copy()
-        s2s, s3s = x2.copy(), x3.copy()
+        prior = _is_prior(model, imp_c)
+        s2s, s3s = (s2, s3) if prior else (x2.copy(), x3.copy())
         mean = np.asarray(chunk.gauss.mean, dtype=float).copy()
         cov = np.asarray(chunk.gauss.cov, dtype=float).copy()
         vals = incs.values[sl]
         llr = np.zeros(s3.shape[:-1])
         dt = grid.dt
-        hoisted = model.dispersion.constant and model.diffusion.constant \
-            and _matrix_constant(imp_c.dispersion)
-        ops = _LlrOps(model.dispersion.at(grid.t0),
-                      _matrix_at(imp_c.dispersion, grid.t0),
-                      model.diffusion.at(grid.t0), grid.t0) if hoisted else None
+        ops_at = _ops_at(model, imp_c, grid)
         for j in range(grid.n_steps):
             t = grid.t0 + j * dt
-            if not hoisted:
-                ops = _LlrOps(model.dispersion.at(t),
-                              _matrix_at(imp_c.dispersion, t),
-                              model.diffusion.at(t), t)
+            ops = ops_at(t)
             g_val = np.asarray(imp_c.drift(s2, s3, t), dtype=float)
-            f3_star = np.asarray(model.drift_stoch(s2s, s3s, t), dtype=float)
             f2_plain = np.asarray(model.drift_det(s2, s3, t), dtype=float)
-            f2_star = np.asarray(model.drift_det(s2s, s3s, t), dtype=float)
             f_mat = np.asarray(model.lin_coeff(s2s, s3s, t), dtype=float)
             shift = np.asarray(model.lin_shift(s2s, s3s, t), dtype=float)
             v_mat = np.asarray(model.lin_noise(s2s, s3s, t), dtype=float)
             q_eta = model.lin_diffusion.at(t)
             db = vals[..., j, :]
-            noise_mat = ops.l_mat if ops.b_mat is None else ops.b_mat
-            ds3 = g_val * dt + mat_vec(noise_mat, db)
-            llr = _llr_kernel(llr, f3_star, g_val, ops, dt, db)
+            ds3 = g_val * dt + mat_vec(ops.noise_mat, db)
+            if not prior:
+                f3_star = np.asarray(model.drift_stoch(s2s, s3s, t),
+                                     dtype=float)
+                f2_star = np.asarray(model.drift_det(s2s, s3s, t), dtype=float)
+                llr = _llr_kernel(llr, f3_star, g_val, ops, dt, db)
             mean, cov = _block_step(mean, cov, f_mat, shift, v_mat, q_eta, dt)
             s2 = s2 + f2_plain * dt
             s3 = s3 + ds3
-            s2s = s2s + f2_star * dt
-            s3s = s3s + ds3 if ops.scale is None \
-                else s3s + mat_vec(ops.scale, ds3)
+            if prior:
+                s2s, s3s = s2, s3
+            else:
+                s2s = s2s + f2_star * dt
+                s3s = s3s + ds3 if ops.scale is None \
+                    else s3s + mat_vec(ops.scale, ds3)
         for arr in (s2s, s3s, mean, cov, llr):
             if not np.all(np.isfinite(arr)):
                 raise IntegrationError("non-finite values while propagating "

@@ -235,7 +235,7 @@ class BrownianIncrements:
         else:
             times = grid.times[:-1]
             chols = np.stack([diffusion.chol(t) for t in times])
-            scaled = sq * np.matmul(chols, noise[..., None])[..., 0]
+            scaled = sq * mat_vec(chols, noise)
         return cls(scaled)
 
 

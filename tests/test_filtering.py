@@ -631,6 +631,22 @@ class TestRunFilterEdgeCases:
         bound = 6.0 * np.sqrt(kf.covs[0, 0, 0] / n)
         assert abs(res.summaries[1].mean[0] - kf.means[0, 0]) < bound
 
+    @pytest.mark.parametrize("n_meas", [0, 1])
+    def test_unknown_method_raises_before_any_work(self, n_meas):
+        # With no measurements the method used to go unchecked and a
+        # one-row result came back; now nothing runs, not even the
+        # initial sampler.
+        model, times, ys, (_, _, obs_var) = _ou_setup(n_meas=n_meas)
+
+        def sampler(rng):
+            raise AssertionError("initial sampler called")
+
+        with pytest.raises(ValueError, match="unknown method 'bogus'"):
+            run_filter(model, prior_proposal(model),
+                       gaussian_measurement(0, obs_var), times, ys,
+                       FilterConfig(n_particles=4, n_steps=2),
+                       method="bogus", init_sampler=sampler)
+
     @pytest.mark.parametrize("method", METHODS)
     def test_threshold_zero_never_resamples(self, method):
         res = _run_case(method, 17, ess_threshold=0.0)

@@ -5,9 +5,9 @@ import pytest
 from scipy.stats import norm
 
 from sdepf import (DiffusionSpec, ImportanceSpec, SdeModel, SplitSdeModel,
-                   TimeGrid, estimate_kl, integrate_sde, prior_proposal,
-                   propagate_coupled, propagate_coupled_split,
-                   sample_brownian_increments, step_llr, step_llr_singular)
+                   TimeGrid, estimate_kl, integrate_sde, models,
+                   prior_proposal, propagate_coupled, propagate_coupled_split,
+                   sample_brownian_increments, step_llr)
 from sdepf.sde import BrownianIncrements
 
 
@@ -24,19 +24,6 @@ class TestStepLlr:
                        np.array([[1.0]]), np.array([[1.0]]),
                        np.array([[0.01]]), 0.0, 0.1, np.array([[0.01]]))
         np.testing.assert_allclose(out, [-6.0], rtol=0, atol=1e-12)
-
-    def test_singular_variant_matches_plain(self):
-        rng = np.random.default_rng(3)
-        f = rng.normal(size=(8, 2))
-        g = rng.normal(size=(8, 2))
-        db = rng.normal(size=(8, 2)) * 0.1
-        l_mat = np.array([[1.0, 0.0], [0.3, 1.0]])
-        q_mat = np.array([[0.5, 0.1], [0.1, 0.8]])
-        prev = rng.normal(size=8)
-        out_a = step_llr(prev, f, g, l_mat, l_mat, q_mat, 0.0, 0.05, db)
-        out_b = step_llr_singular(prev, f, g, l_mat, l_mat, q_mat, 0.0,
-                                  0.05, db)
-        np.testing.assert_array_equal(out_a, out_b)
 
     def test_accumulates_from_previous_value(self):
         base = step_llr(np.zeros(1), np.array([[-1.0]]), np.array([[0.0]]),
@@ -95,6 +82,82 @@ class TestBootstrapReduction:
                                       np.zeros((32, 1)), grid, incs)
         assert np.all(res.llr == 0.0)
         np.testing.assert_array_equal(res.state_stoch, res.proposal_stoch)
+
+
+def _full_path_twin(model):
+    """The bootstrap proposal under a new drift object: the kernels do not
+    recognize it, so they run the full scaled-process and Lambda
+    recursion."""
+    drift = prior_proposal(model).drift
+    return ImportanceSpec(drift=lambda *args: drift(*args))
+
+
+def _assert_same_bits(a, b):
+    assert a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+class TestPriorShortCut:
+    """Under prior_proposal the kernels alias s* to s and skip Lambda;
+    the results must be the full recursion's, bit for bit."""
+
+    @pytest.mark.parametrize("dim", [1, 2])
+    def test_plain_kernel(self, dim):
+        def drift(x, t):
+            return np.sin(x[..., ::-1]) - 0.5 * x
+
+        q = np.diag([0.5, 1.2][:dim])
+        model = SdeModel(dim, dim, drift, np.eye(dim), q)
+        grid = TimeGrid(0.0, 1.0, 20)
+        rng = np.random.default_rng(8)
+        incs = sample_brownian_increments(grid, model.diffusion, rng,
+                                          n_paths=50)
+        x0 = rng.normal(size=(50, dim))
+        short, full = (propagate_coupled(model, imp, x0, grid, incs,
+                                         record_noise=True)
+                       for imp in (prior_proposal(model),
+                                   _full_path_twin(model)))
+        for res in (short, full):
+            assert np.all(res.llr == 0.0) and not np.any(np.signbit(res.llr))
+        for name in ("state", "proposal_state", "llr", "model_noise"):
+            _assert_same_bits(getattr(short, name), getattr(full, name))
+
+    def test_own_dispersion_is_not_the_prior(self):
+        # The model's drift with a proposal dispersion B = 2 L is a
+        # scaled proposal: s* differs from s and Lambda is not zero.
+        model = _ou_model()
+        grid = TimeGrid(0.0, 1.0, 10)
+        incs = sample_brownian_increments(grid, model.diffusion,
+                                          np.random.default_rng(2), n_paths=20)
+        res = propagate_coupled(model, ImportanceSpec(model.drift, 2.0),
+                                np.ones((20, 1)), grid, incs)
+        assert np.all(res.state != res.proposal_state)
+        assert np.all(res.llr != 0.0)
+
+    @pytest.mark.parametrize("kind", ["pendulum", "epidemic"])
+    def test_split_kernel(self, kind):
+        rng = np.random.default_rng(9)
+        if kind == "pendulum":
+            model = models.pendulum_model(1.0, 0.3)
+            x = rng.normal(size=(50, 2))
+        else:
+            # Its clamp to [0, 1] and [-20, 20] binds on some paths.
+            model = models.epidemic_model(1.0, 4.0)
+            x = np.column_stack([rng.uniform(0.5, 1.0, 50),
+                                 rng.uniform(0.0, 0.5, 50),
+                                 rng.normal(18.0, 2.0, 50)])
+        x1, x2 = model.split(x)
+        grid = TimeGrid(0.0, 1.0, 20)
+        incs = sample_brownian_increments(grid, model.diffusion, rng,
+                                          n_paths=50)
+        short, full = (propagate_coupled_split(model, imp, x1, x2, grid,
+                                               incs, record_noise=True)
+                       for imp in (prior_proposal(model),
+                                   _full_path_twin(model)))
+        for res in (short, full):
+            assert np.all(res.llr == 0.0) and not np.any(np.signbit(res.llr))
+        for name in ("state_det", "state_stoch", "proposal_det",
+                     "proposal_stoch", "llr", "model_noise"):
+            _assert_same_bits(getattr(short, name), getattr(full, name))
 
 
 class TestChainDensityRatio:

@@ -1,4 +1,5 @@
-"""The matrix guard: closed-form 1x1 batches against the SVD reference."""
+"""The matrix guard (closed-form 1x1 batches against the SVD reference)
+and the 1x1 products (elementwise against np.matmul, bit for bit)."""
 
 import numpy as np
 import pytest
@@ -7,7 +8,8 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from oracles import svd_guarded_inv
-from sdepf._linalg import guarded_inv, log_mvn_density
+from sdepf._linalg import (guarded_inv, log_mvn_density, mat_mul, mat_vec,
+                           quad_form)
 from sdepf.exceptions import SingularMatrixError
 
 
@@ -142,3 +144,90 @@ def test_log_mvn_density_accepts_known_inverse():
     np.testing.assert_allclose(
         own, -0.5 * (np.log(2 * np.pi * cov[:, 0, 0])
                      + resid[:, 0] ** 2 / cov[:, 0, 0]), rtol=1e-14)
+
+
+def _nan(bits):
+    return np.array([bits], dtype=np.uint64).view(np.float64)[0]
+
+
+# NaNs of both signs and several payloads: where both operands are NaN,
+# np.matmul keeps the first one's.
+NANS = [_nan(0x7FF8000000000001), _nan(0xFFF8000000000000),
+        _nan(0x7FF4000000000000), _nan(0xFFFC0000DEADBEEF)]
+
+# Operand shapes for a batch of n, as (a, b) in a @ b or (mat, vec).
+MUL_SHAPES = {"batch@batch": lambda n: ((n, 1, 1), (n, 1, 1)),
+              "one@batch": lambda n: ((1, 1), (n, 1, 1)),
+              "batch@one": lambda n: ((n, 1, 1), (1, 1))}
+VEC_SHAPES = {"one.batch": lambda n: ((1, 1), (n, 1)),
+              "batch.batch": lambda n: ((n, 1, 1), (n, 1))}
+
+
+def _operands(shapes):
+    elements = _entries | st.sampled_from(NANS)
+    return st.integers(1, 8).flatmap(lambda n: st.tuples(*(
+        hnp.arrays(np.float64, shape, elements=elements, fill=st.nothing())
+        for shape in shapes(n))))
+
+
+def _matmul_vec(mat, vec):
+    return np.matmul(mat, vec[..., None])[..., 0]
+
+
+def _assert_same_bits(got, want):
+    assert got.dtype == want.dtype and got.shape == want.shape
+    assert got.tobytes() == want.tobytes()
+
+
+class TestScalarProducts:
+    @pytest.mark.parametrize("case", sorted(MUL_SHAPES))
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data())
+    def test_mat_mul_matches_matmul(self, case, data):
+        a, b = data.draw(_operands(MUL_SHAPES[case]))
+        with np.errstate(all="ignore"):
+            _assert_same_bits(mat_mul(a, b), np.matmul(a, b))
+
+    @pytest.mark.parametrize("case", sorted(VEC_SHAPES))
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data())
+    def test_mat_vec_and_quad_form_match_matmul(self, case, data):
+        mat, vec = data.draw(_operands(VEC_SHAPES[case]))
+        with np.errstate(all="ignore"):
+            want = _matmul_vec(mat, vec)
+            _assert_same_bits(mat_vec(mat, vec), want)
+            _assert_same_bits(quad_form(vec, mat),
+                              np.sum(vec * want, axis=-1))
+
+    def test_all_pairs_of_special_values(self):
+        vals = np.array(SPECIAL + NANS)
+        a = np.repeat(vals, vals.size).reshape(-1, 1, 1)
+        b = np.tile(vals, vals.size).reshape(-1, 1, 1)
+        with np.errstate(all="ignore"):
+            _assert_same_bits(mat_mul(a, b), np.matmul(a, b))
+            _assert_same_bits(mat_vec(a, b[..., 0]), _matmul_vec(a, b[..., 0]))
+            for value in vals:
+                one = np.array([[value]])
+                _assert_same_bits(mat_mul(one, b), np.matmul(one, b))
+                _assert_same_bits(mat_mul(b, one), np.matmul(b, one))
+                _assert_same_bits(mat_vec(one, b[..., 0]),
+                                  _matmul_vec(one, b[..., 0]))
+
+    @pytest.mark.parametrize("mat", [np.ones((1, 1)), np.ones((4, 1, 1))])
+    def test_length_three_vector_raises_like_matmul(self, mat):
+        vec = np.ones((4, 3))
+        with pytest.raises(ValueError) as want:
+            _matmul_vec(mat, vec)
+        with pytest.raises(ValueError) as got:
+            mat_vec(mat, vec)
+        assert str(got.value) == str(want.value)
+
+    @pytest.mark.parametrize("b", [np.ones((1, 3)), np.ones((3, 1)),
+                                   np.ones((3, 1, 2))])
+    def test_other_shapes_go_to_matmul(self, b):
+        a = np.full((1, 1), 2.0)
+        want_exc, want = _outcome(lambda m: np.matmul(a, m), b)
+        got_exc, got = _outcome(lambda m: mat_mul(a, m), b)
+        assert got_exc is want_exc
+        if want_exc is None:
+            _assert_same_bits(got, want)

@@ -16,6 +16,7 @@ from sdepf import (CondGaussModel, FilterConfig, GaussianBlock, ImportanceSpec,
                    seed_streams)
 from sdepf.exceptions import IntegrationError
 from sdepf.proposals import EkfMoments, ekf_condition
+import sdepf.raoblackwell as rb
 from sdepf.raoblackwell import rb_param_step, replay_path
 
 from oracles import (epidemic_week1_posterior, gamma_poisson_marginal_quad,
@@ -359,6 +360,51 @@ class TestRbGauss:
         assert row.mean.shape == (2,)
         assert row.var.shape == (2,)
         assert np.all(row.var >= 0.0)
+
+
+def test_rb_gauss_prior_short_cut_is_bit_identical(monkeypatch):
+    # Under prior_proposal rb_gauss_step aliases the scaled states to the
+    # proposal states and skips Lambda; a new lambda around the same
+    # drift forces the full recursion, which must give the same bits.
+    def const(value):
+        return lambda x2, x3, t: np.full(x3.shape[:-1] + (1, 1), value)
+
+    model = CondGaussModel(
+        dim_lin=1, dim_det=1, dim_stoch=1, lin_coeff=const(-0.5),
+        lin_shift=lambda x2, x3, t: np.sin(x3) + 0.1 * x2,
+        lin_noise=lambda x2, x3, t: np.cos(x3)[..., None],
+        lin_diffusion=0.3, drift_det=lambda x2, x3, t: x3,
+        drift_stoch=lambda x2, x3, t: -x3 + np.tanh(x2), dispersion=1.0,
+        diffusion=0.4, meas_matrix=np.array([[1.0]]),
+        meas_cov=np.array([[0.1]]),
+        initial_sampler=lambda g: g.normal(0.0, 1.0, size=2),
+        init_gauss=(np.array([0.7]), np.array([[0.9]])))
+    seen = []
+
+    def spy(pset, states, llr, *args, **kwargs):
+        seen.append(llr)
+        return finish_step(pset, states, llr, *args, **kwargs)
+
+    finish_step = rb.finish_step
+    monkeypatch.setattr(rb, "finish_step", spy)
+    stoch = model.drift_stoch
+    outs = []
+    for imp in (prior_proposal(model),
+                ImportanceSpec(drift=lambda *args: stoch(*args))):
+        pset = rb.init_rb_gauss_set(model, np.random.default_rng(3), 40)
+        pset, _ = rb.rb_gauss_step(pset, model, imp, 0.4,
+                                   TimeGrid(0.0, 0.5, 10), ess_threshold=0.0,
+                                   noise_rng=np.random.default_rng(4))
+        outs.append(pset)
+    for llr in seen:
+        assert np.all(llr == 0.0) and not np.any(np.signbit(llr))
+    assert seen[0].tobytes() == seen[1].tobytes()
+    short, full = outs
+    for a, b in ((short.states, full.states),
+                 (short.log_weights, full.log_weights),
+                 (short.gauss.mean, full.gauss.mean),
+                 (short.gauss.cov, full.gauss.cov)):
+        assert a.shape == b.shape and a.tobytes() == b.tobytes()
 
 
 class TestEvalMixture:
