@@ -520,7 +520,7 @@ def cmd_simulate(cfg):
 
 
 class _RunError(Exception):
-    """A ValueError raised while the filter runs on validated inputs."""
+    """A ValueError raised while a command runs on validated inputs."""
 
 
 def cmd_filter(cfg):
@@ -741,6 +741,24 @@ def cmd_selftest(cfg):
             and mat_vec(a, b[..., 0]).tobytes() == ref[..., 0].tobytes()
     checks.append(("1x1 products equal np.matmul bit for bit", same))
 
+    # From a Dirac start the EKF prediction of a linear model is the
+    # covariance of its Euler chain, A P A^T + Q dt with A = I + F dt,
+    # and positive semidefinite.
+    f_lin = np.array([[0.0, 1.0], [-2.0, -0.3]])
+    q_lin = np.diag([0.0, 0.5])
+    grid_e = TimeGrid(0.0, 1.0, 10)
+    pred = ekf_predict(EkfMoments.from_states(np.ones((1, 2))),
+                       lambda x, t: x @ f_lin.T,
+                       lambda x, t: np.broadcast_to(f_lin, x.shape + (2,)),
+                       q_lin, grid_e)
+    a_lin = np.eye(2) + f_lin * grid_e.dt
+    p_ref = np.zeros((2, 2))
+    for _ in range(grid_e.n_steps):
+        p_ref = a_lin @ p_ref @ a_lin.T + q_lin * grid_e.dt
+    checks.append(("EKF prediction is the Euler chain's PSD covariance",
+                   np.allclose(pred.cov[0], p_ref, rtol=1e-12, atol=0.0)
+                   and np.linalg.eigvalsh(pred.cov[0]).min() >= 0.0))
+
     failed = 0
     for name, passed in checks:
         print("%s: %s" % ("PASS" if passed else "FAIL", name))
@@ -780,13 +798,16 @@ def main(argv=None):
                  "out": args.out, "threads": args.threads}
     try:
         cfg = load_config(args.config, overrides)
-        if args.command == "simulate":
-            return cmd_simulate(cfg)
         if args.command == "filter":
             return cmd_filter(cfg)
-        if args.command == "kl":
-            return cmd_kl(cfg)
-        return cmd_selftest(cfg)
+        if args.command == "selftest":
+            return cmd_selftest(cfg)
+        command = cmd_simulate if args.command == "simulate" else cmd_kl
+        try:
+            return command(cfg)
+        except ValueError as exc:
+            # load_config validated the inputs, so this came from the run.
+            raise _RunError(exc) from exc
     except (ConfigError, ValueError) as exc:
         print("configuration error: %s" % exc, file=sys.stderr)
         return 2

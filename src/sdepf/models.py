@@ -365,13 +365,23 @@ def epidemic_bridge_builder(g, q, family):
         out[..., 2] = np.minimum(out[..., 2], EKF_LOG_RATE_CAP)
         return out
 
-    def drift(x, t):
-        return raw_drift(boxed(x), t)
-
-    def jac(x, t):
-        return raw_jac(boxed(x), t)
-
     def builder(pset, grid, d):
+        # ekf_predict evaluates drift and Jacobian at the same mean, so box
+        # it once.  The one-slot cache belongs to this call, which keeps
+        # builders on concurrent chunks apart.
+        last = [None, None]
+
+        def boxed_once(x):
+            if last[0] is not x:
+                last[:] = [x, boxed(x)]
+            return last[1]
+
+        def drift(x, t):
+            return raw_drift(boxed_once(x), t)
+
+        def jac(x, t):
+            return raw_jac(boxed_once(x), t)
+
         n_hat = family.point_estimate(pset.stats)
         c = pset.states[:, 0] + pset.states[:, 1]
         mom = ekf_predict(EkfMoments.from_states(pset.states), drift, jac,

@@ -2,20 +2,24 @@
 
 The recipe per particle and measurement interval: start an extended
 Kalman prediction from the particle's current state (a Dirac, so the
-initial covariance is zero), condition the predicted Gaussian on the
-upcoming measurement, and turn the resulting endpoint marginal of the
+initial covariance is zero), carry the covariance of the linearized
+Euler chain as a square-root factor so that it stays positive
+semidefinite, condition the predicted Gaussian on the upcoming
+measurement, and turn the resulting endpoint marginal of the
 noise-driven component into a constant-coefficient bridge proposal
 
     g = (m_k - x_prev) / dt,        B = sqrt(P_k / (q dt)),
 
-whose Euler endpoint has exactly mean m_k and variance P_k.
+whose Euler endpoint has exactly mean m_k and variance P_k.  The
+Girsanov weights are exact for any such proposal, so the EKF only has
+to be good and cheap: from a Dirac start it runs no eigendecomposition.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 
-from ._linalg import mat_mul, symmetrize
+from ._linalg import symmetrize
 from .exceptions import IntegrationError
 from .girsanov import ImportanceSpec
 from .raoblackwell import _gaussian_condition
@@ -45,13 +49,27 @@ class EkfMoments:
 
 
 def ekf_predict(moments, drift, jacobian, q_mat, grid):
-    """Euler integration of the extended Kalman moment ODEs.
+    """Extended Kalman prediction along the linearized Euler chain.
 
-        dm/dt = f(m, t)
-        dP/dt = F(m, t) P + P F(m, t)^T + Q
+    Each Euler step x <- x + f(x, t) dt + L dbeta, linearized at the
+    running mean, moves the moments by
+
+        m <- m + f(m, t) dt
+        P <- A P A^T + Q dt,     A = I + F(m, t) dt,
+
+    which is the chain the bridge proposals and every kernel simulate.
+    P is carried as a factor G with P = G G^T: each step multiplies G by
+    A and appends the columns sqrt(dt) L_Q, where Q = L_Q L_Q^T keeps
+    the positive eigenvalues of Q.  So the prediction is positive
+    semidefinite by construction and needs no repair.  The factor's
+    width, n columns for the initial covariance plus rank(Q) per step,
+    depends on shapes only, so each particle's arithmetic is the same
+    however the particles are batched.
 
     Args:
-        moments: EkfMoments at grid.t0.
+        moments: EkfMoments at grid.t0.  A nonzero initial covariance is
+            factored by an eigendecomposition whose negative eigenvalues
+            count as zero.
         drift: callable (x, t) -> (..., n), the full-state drift.
         jacobian: callable (x, t) -> (..., n, n), its state Jacobian.
         q_mat: process noise covariance injected per unit time, (n, n)
@@ -62,9 +80,21 @@ def ekf_predict(moments, drift, jacobian, q_mat, grid):
         EkfMoments at grid.t1 with symmetrized covariance.
     """
     mean = np.asarray(moments.mean, dtype=float).copy()
-    cov = np.asarray(moments.cov, dtype=float).copy()
-    q = np.asarray(q_mat, dtype=float)
+    cov = np.asarray(moments.cov, dtype=float)
+    n = mean.shape[-1]
     dt = grid.dt
+    w, v = np.linalg.eigh(np.asarray(q_mat, dtype=float))
+    keep = w > 0.0
+    step_cols = np.sqrt(dt) * (v[:, keep] * np.sqrt(w[keep]))
+    r = step_cols.shape[-1]
+    batch = np.broadcast_shapes(mean.shape[:-1], cov.shape[:-2])
+    # Two factor buffers written in turn.  Both hold step_cols in every
+    # step's columns up front: step j writes only the n + j r columns
+    # before its own into the other buffer, so those stay valid there.
+    fac = np.empty(batch + (n, n + grid.n_steps * r))
+    fac[..., n:] = np.tile(step_cols, grid.n_steps)
+    spare = fac.copy()
+    fac[..., :n] = _psd_factor(cov)
     with np.errstate(over="ignore", invalid="ignore"):
         for j in range(grid.n_steps):
             t = grid.t0 + j * dt
@@ -72,20 +102,38 @@ def ekf_predict(moments, drift, jacobian, q_mat, grid):
             f_jac = np.asarray(jacobian(mean, t), dtype=float)
             if not (np.all(np.isfinite(f_val)) and np.all(np.isfinite(f_jac))):
                 raise IntegrationError("EKF drift non-finite at t=%g" % t)
-            fp = mat_mul(f_jac, cov)
-            cov = symmetrize(cov + (fp + np.swapaxes(fp, -1, -2) + q) * dt)
+            a_mat = np.multiply(f_jac, dt, order="C")
+            a_mat.reshape(-1, n * n)[:, ::n + 1] += 1.0
+            used = n + j * r
+            np.matmul(a_mat, fac[..., :used], out=spare[..., :used])
+            fac, spare = spare, fac
             mean = mean + f_val * dt
+        cov = symmetrize(np.matmul(fac, np.swapaxes(fac, -1, -2)))
     if not (np.all(np.isfinite(mean)) and np.all(np.isfinite(cov))):
         raise IntegrationError("EKF moments non-finite at t=%g" % grid.t1)
     return EkfMoments(mean, cov)
+
+
+def _psd_factor(cov):
+    """Square factors G with G G^T = cov, negative eigenvalues counted as
+    zero; all-zero covariances (Dirac moments) skip the eigh."""
+    fac = np.zeros(cov.shape)
+    nonzero = np.any(cov != 0.0, axis=(-2, -1))
+    if np.any(nonzero):
+        w, v = np.linalg.eigh(cov[nonzero])
+        fac[nonzero] = v * np.sqrt(np.maximum(w, 0.0))[..., None, :]
+    return fac
 
 
 def ekf_condition(moments, h_mat, r_mat, y):
     """Condition predicted moments on a measurement y = H x + N(0, R).
 
     Runs the same arithmetic as the Kalman measurement update (shared
-    implementation), so an EKF built from these pieces matches the
-    marginalized filter's update bit for bit.
+    implementation) and returns its symmetrized covariance.  Unlike
+    kalman_update it skips repair_cov: ekf_predict's covariance is
+    positive semidefinite by construction, the Kalman update keeps it
+    so up to rounding, and build_bridge floors the one variance the
+    proposal reads (VAR_FLOOR).
 
     Args:
         moments: EkfMoments before the update.

@@ -98,16 +98,22 @@ class CondGaussModel:
 
 
 def repair_cov(cov):
-    """Symmetrize a covariance and clamp tiny negative eigenvalues."""
+    """Symmetrize a covariance and clamp tiny negative eigenvalues.
+
+    Works matrix by matrix: only the matrices of a batch with a negative
+    (or NaN) eigenvalue are rebuilt, and every other one is returned
+    symmetrized, with the same bits whatever its neighbours hold.
+    """
     cov = symmetrize(cov)
     if cov.shape[-1] == 1:
         return np.maximum(cov, 0.0)
-    w = np.linalg.eigvalsh(cov)
-    if np.min(w) >= 0.0:
-        return cov
-    w2, v = np.linalg.eigh(cov)
-    w2 = np.maximum(w2, 0.0)
-    return symmetrize(np.matmul(v * w2[..., None, :], np.swapaxes(v, -1, -2)))
+    bad = ~(np.linalg.eigvalsh(cov).min(axis=-1) >= 0.0)
+    if np.any(bad):
+        w, v = np.linalg.eigh(cov[bad])
+        w = np.maximum(w, 0.0)
+        cov[bad] = symmetrize(np.matmul(v * w[..., None, :],
+                                        np.swapaxes(v, -1, -2)))
+    return cov
 
 
 def _block_step(mean, cov, f_mat, shift, v_mat, q_eta, dt):
@@ -149,8 +155,9 @@ def _gaussian_condition(mean, cov, h_mat, r_mat, y, t=None):
 
     t, if given, is reported when the innovation covariance is singular.
 
-    Returns (mean', cov', predicted mean, innovation covariance and its
-    inverse).
+    Returns (mean', symmetrized cov', predicted mean, innovation
+    covariance and its inverse).  Callers that need cov' clamped to a
+    positive semidefinite matrix apply repair_cov themselves.
     """
     pred = mat_vec(h_mat, mean)
     pht = mat_mul(cov, np.swapaxes(h_mat, -1, -2))
@@ -160,7 +167,7 @@ def _gaussian_condition(mean, cov, h_mat, r_mat, y, t=None):
     resid = np.asarray(y, dtype=float) - pred
     mean_new = mean + mat_vec(gain, resid)
     cov_new = cov - mat_mul(mat_mul(gain, s_mat), np.swapaxes(gain, -1, -2))
-    return mean_new, repair_cov(cov_new), pred, s_mat, s_inv
+    return mean_new, symmetrize(cov_new), pred, s_mat, s_inv
 
 
 def kalman_update(block, h_mat, r_mat, y):
@@ -185,7 +192,7 @@ def kalman_update(block, h_mat, r_mat, y):
     mean, cov, pred, s_mat, _ = _gaussian_condition(
         np.asarray(block.mean, dtype=float),
         np.asarray(block.cov, dtype=float), h, r, y)
-    return GaussianBlock(mean, cov), pred, s_mat
+    return GaussianBlock(mean, repair_cov(cov)), pred, s_mat
 
 
 def init_rb_gauss_set(model, rng, n, *, init_sampler=None, init_gauss=None):
@@ -289,7 +296,7 @@ def rb_gauss_step(pset, model, imp, y, grid, *, builder=None,
         mean, cov, h, r, y, grid.t1)
     resid = np.asarray(y, dtype=float) - pred
     loglik = log_mvn_density(resid, s_mat, s_inv)
-    gauss = GaussianBlock(mean_post, cov_post)
+    gauss = GaussianBlock(mean_post, repair_cov(cov_post))
     return finish_step(pset, states, llr, loglik, grid.t1, gauss=gauss,
                        ess_threshold=ess_threshold, resample_rng=resample_rng)
 

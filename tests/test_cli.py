@@ -604,6 +604,39 @@ out = %s
     assert "exposure theta" in err
 
 
+def test_simulate_numerical_failure_exits_3(tmp_path, capsys):
+    # n_true = 1e300 passes validation; numpy's Poisson draw then rejects
+    # the rate with a ValueError, which is a failure of the run.
+    cfg = write_config(tmp_path / "s.ini", """
+[model]
+kind = epidemic
+n_true = 1e300
+
+[io]
+out = %s
+""" % (tmp_path / "sim"))
+    assert sdepf.cli.main(["simulate", "--config", cfg]) == 3
+    err = capsys.readouterr().err
+    assert "numerical failure" in err
+    assert "lam value too large" in err
+
+
+def test_kl_value_error_during_run_exits_3(tmp_path, monkeypatch, capsys):
+    cfg = write_config(tmp_path / "k.ini", """
+[io]
+out = %s
+""" % (tmp_path / "kl"))
+
+    def failing_estimate(*args, **kwargs):
+        raise ValueError("paths have 3 grid points, grid has 4")
+
+    monkeypatch.setattr(sdepf.cli, "estimate_kl", failing_estimate)
+    assert sdepf.cli.main(["kl", "--config", cfg]) == 3
+    err = capsys.readouterr().err
+    assert "numerical failure" in err
+    assert "grid points" in err
+
+
 def test_singular_innovation_covariance_exits_3(tmp_path, capsys):
     # Valid positive variances so small that the innovation covariance S
     # is subnormal: 1 / S overflows, so the guard must stop the run.

@@ -5,6 +5,8 @@ import pytest
 
 from sdepf import FilterConfig, gamma_poisson_family
 from sdepf.filtering import ParticleSet
+from sdepf.proposals import (EkfMoments, build_bridge, ekf_condition,
+                             ekf_predict)
 from sdepf.models import (CountSeries, EKF_LOG_RATE_CAP, epidemic_drift,
                           epidemic_indicator, epidemic_init_sampler,
                           epidemic_jacobian, epidemic_bridge_builder,
@@ -205,6 +207,42 @@ class TestEpidemicBridge:
         assert np.all(np.isfinite(np.asarray(imp.dispersion)))
         g = imp.drift(None, None, pset.states[:, 2:], 0.0)
         assert np.all(np.isfinite(g))
+
+
+    def test_boxing_once_per_step_keeps_the_bits(self):
+        # The builder boxes each EKF mean once and shares it between the
+        # drift and the Jacobian; the result equals boxing for each call.
+        rng = np.random.default_rng(5)
+        states = np.column_stack([rng.uniform(-0.1, 1.1, 6),
+                                  rng.uniform(-0.1, 0.3, 6),
+                                  rng.normal(1.0, 2.0, 6)])
+        fam = gamma_poisson_family(10.0, 0.001)
+        pset = ParticleSet(states, np.full(6, -np.log(6.0)), 0,
+                           stats=fam.init_stats(6))
+        grid = TimeGrid(0.0, 1.0, 10)
+        imp = epidemic_bridge_builder(1.0, 0.001, fam)(pset, grid, 40)
+
+        def boxed(x):
+            out = x.copy()
+            out[..., :2] = np.clip(out[..., :2], 0.0, 1.0)
+            out[..., 2] = np.minimum(out[..., 2], EKF_LOG_RATE_CAP)
+            return out
+
+        drift, jac = epidemic_drift(1.0), epidemic_jacobian(1.0)
+        mom = ekf_predict(EkfMoments.from_states(states),
+                          lambda x, t: drift(boxed(x), t),
+                          lambda x, t: jac(boxed(x), t),
+                          np.diag([0.0, 0.0, 0.001]), grid)
+        n_hat = fam.point_estimate(pset.stats)
+        h = np.zeros((6, 1, 3))
+        h[:, 0, :2] = -n_hat[:, None]
+        y_eff = (40.0 - n_hat * (states[:, 0] + states[:, 1]))[:, None]
+        mom = ekf_condition(mom, h, np.full((6, 1, 1), 41.0), y_eff)
+        ref = build_bridge(states, mom, 1.0, 0.001, 2)
+        assert np.asarray(imp.dispersion).tobytes() == \
+            np.asarray(ref.dispersion).tobytes()
+        g = imp.drift(None, states[:, 2:], 0.0)
+        assert g.tobytes() == ref.drift(None, states[:, 2:], 0.0).tobytes()
 
 
 class TestEpidemicPredict:

@@ -2,12 +2,16 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 from scipy import stats as sps
 
 from sdepf import (BridgeSpec, EkfMoments, ImportanceSpec, SdeModel, TimeGrid,
                    build_bridge, ekf_condition, ekf_predict, propagate_coupled,
                    sample_brownian_increments)
 from sdepf.exceptions import IntegrationError
+from sdepf.models import pendulum_drift, pendulum_jacobian
 from sdepf.proposals import VAR_FLOOR
 
 
@@ -34,10 +38,98 @@ class TestEkfPredict:
                           np.array([[0.4]]), grid)
         m, p = 2.0, 0.5
         for _ in range(8):
-            p = p + (2.0 * a * p + 0.4) * grid.dt
+            p = (1.0 + a * grid.dt) ** 2 * p + 0.4 * grid.dt
             m = m + a * m * grid.dt
         assert out.mean[0, 0] == pytest.approx(m, abs=1e-14)
         assert out.cov[0, 0, 0] == pytest.approx(p, abs=1e-14)
+
+    @staticmethod
+    def _linear_predict(f_mat, q_mat, p0, grid):
+        n = f_mat.shape[0]
+        return ekf_predict(EkfMoments(np.ones((1, n)), np.asarray(p0)[None]),
+                           lambda x, t: x @ f_mat.T,
+                           lambda x, t: np.broadcast_to(f_mat, x.shape + (n,)),
+                           q_mat, grid)
+
+    @staticmethod
+    def _euler_chain_cov(f_mat, q_mat, p0, grid):
+        a_mat = np.eye(f_mat.shape[0]) + f_mat * grid.dt
+        p = np.asarray(p0, dtype=float)
+        for _ in range(grid.n_steps):
+            p = a_mat @ p @ a_mat.T + q_mat * grid.dt
+        return p
+
+    @pytest.mark.parametrize("p0_scale", [0.0, 1.0])
+    def test_three_dim_rank_one_noise_matches_euler_chain(self, p0_scale):
+        # The prediction is the Kalman prediction of the Euler chain that
+        # the kernels simulate, from a Dirac start and from a full P0.
+        rng = np.random.default_rng(12)
+        f_mat = rng.normal(size=(3, 3))
+        ell = rng.normal(size=(3, 1))
+        q_mat = ell @ ell.T
+        b = rng.normal(size=(3, 3))
+        p0 = p0_scale * (b @ b.T)
+        grid = TimeGrid(0.0, 0.8, 7)
+        out = self._linear_predict(f_mat, q_mat, p0, grid)
+        ref = self._euler_chain_cov(f_mat, q_mat, p0, grid)
+        np.testing.assert_allclose(out.cov[0], ref, rtol=1e-13,
+                                   atol=1e-13 * np.abs(ref).max())
+
+    def test_indefinite_p0_counts_as_its_psd_part(self):
+        # [DERIVED] diag(2, -1) enters as diag(2, 0); with F = 0 and Q = 0
+        # nothing else changes.
+        out = self._linear_predict(np.zeros((2, 2)), np.zeros((2, 2)),
+                                   np.diag([2.0, -1.0]), TimeGrid(0.0, 1.0, 3))
+        np.testing.assert_allclose(out.cov[0], np.diag([2.0, 0.0]),
+                                   rtol=1e-15, atol=0.0)
+
+    def test_two_steps_from_dirac_stay_psd(self):
+        # [DERIVED] Pendulum-shaped F = [[0, 1], [c, 0]], Q = diag(0, q),
+        # dt = 0.5, q = 1: after one step P = Q dt; after two steps the
+        # Euler chain gives q dt [[dt^2, dt], [dt, 2]] = [[0.125, 0.25],
+        # [0.25, 1.0]] (det q^2 dt^4 > 0), independent of c.  Dropping the
+        # F P F^T dt^2 term gives [[0, 0.25], [0.25, 1.0]], whose
+        # determinant -q^2 dt^4 is negative.
+        f_mat = np.array([[0.0, 1.0], [-0.8, 0.0]])
+        out = self._linear_predict(f_mat, np.diag([0.0, 1.0]),
+                                   np.zeros((2, 2)), TimeGrid(0.0, 1.0, 2))
+        np.testing.assert_allclose(out.cov[0], [[0.125, 0.25], [0.25, 1.0]],
+                                   rtol=1e-15)
+        assert np.linalg.eigvalsh(out.cov[0]).min() > 0.0
+        old_rule = np.array([[0.0, 0.25], [0.25, 1.0]])
+        assert np.linalg.eigvalsh(old_rule).min() < 0.0
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(2, 3).flatmap(lambda n: st.tuples(
+        hnp.arrays(np.float64, (n, n), elements=st.floats(-20.0, 20.0)),
+        hnp.arrays(np.float64, (n, n), elements=st.floats(-3.0, 3.0)),
+        st.floats(1e-3, 0.5), st.integers(1, 12))))
+    def test_dirac_start_predictions_are_psd(self, case):
+        # Every prediction from a Dirac start is PSD up to rounding, for
+        # any F, any (possibly rank-deficient) Q, step size and count.
+        f_mat, ell, span, n_steps = case
+        q_mat = ell @ ell.T
+        out = self._linear_predict(f_mat, q_mat, np.zeros_like(f_mat),
+                                   TimeGrid(0.0, span, n_steps))
+        cov = out.cov[0]
+        np.testing.assert_array_equal(cov, cov.T)
+        assert np.linalg.eigvalsh(cov).min() >= -1e-13 * np.trace(cov)
+
+    def test_batch_rows_do_not_depend_on_their_neighbours(self):
+        # Each particle's arithmetic is the same in any batch, which the
+        # chunked builders rely on for thread invariance.
+        states = np.random.default_rng(3).normal(size=(7, 2))
+
+        def predict(x):
+            return ekf_predict(EkfMoments.from_states(x), pendulum_drift(1.0),
+                               pendulum_jacobian(1.0), np.diag([0.0, 0.4]),
+                               TimeGrid(0.0, 0.3, 10))
+
+        whole = predict(states)
+        for sl in (slice(0, 3), slice(3, 7), slice(5, 6)):
+            part = predict(states[sl])
+            assert part.cov.tobytes() == whole.cov[sl].tobytes()
+            assert part.mean.tobytes() == whole.mean[sl].tobytes()
 
     def test_nonfinite_drift_raises(self):
         moments = EkfMoments.from_states(np.array([[1.0]]))
@@ -74,6 +166,17 @@ class TestEkfCondition:
         assert out.mean[0, 0] == pytest.approx(2.0, rel=1e-14)
         assert out.mean[0, 1] == 0.0
         assert out.cov[0, 1, 1] == pytest.approx(1.0, rel=1e-14)
+
+    def test_returns_exactly_symmetric_covariance(self):
+        # ekf_condition runs no repair_cov, so it symmetrizes itself.
+        rng = np.random.default_rng(9)
+        a = rng.normal(size=(50, 3, 3))
+        cov = np.matmul(a, np.swapaxes(a, -1, -2))
+        cov = 0.5 * (cov + np.swapaxes(cov, -1, -2))
+        h = rng.normal(size=(50, 2, 3))
+        out = ekf_condition(EkfMoments(rng.normal(size=(50, 3)), cov), h,
+                            np.eye(2) * 0.3, rng.normal(size=(50, 2)))
+        np.testing.assert_array_equal(out.cov, np.swapaxes(out.cov, -1, -2))
 
 
 class TestBridgeSpec:

@@ -113,6 +113,23 @@ class TestRepairCov:
         np.testing.assert_allclose(fixed, [[1.0, 0.1], [0.1, 1.0]],
                                    atol=1e-14)
 
+    def test_rows_are_repaired_one_by_one(self):
+        # One indefinite matrix in a batch is rebuilt on its own: every
+        # other matrix comes back with the bytes of its symmetrized input,
+        # and the batch equals the matrices repaired one at a time.
+        rng = np.random.default_rng(8)
+        a = rng.normal(size=(6, 3, 3))
+        cov = np.matmul(a, np.swapaxes(a, -1, -2))
+        cov[2] = [[1.0, 2.0, 0.0], [2.0, 1.0, 0.0], [0.0, 0.0, 1.0]]
+        fixed = repair_cov(cov)
+        sym = 0.5 * (cov + np.swapaxes(cov, -1, -2))
+        for i in range(6):
+            assert fixed[i].tobytes() == repair_cov(cov[i]).tobytes()
+            if i != 2:
+                assert fixed[i].tobytes() == sym[i].tobytes()
+        assert np.linalg.eigvalsh(fixed[2]).min() > -1e-12
+        assert fixed[2].tobytes() != sym[2].tobytes()
+
 
 class TestInvChi2Family:
     def test_init_stats(self):
