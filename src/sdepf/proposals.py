@@ -73,17 +73,25 @@ def ekf_predict(moments, drift, jacobian, q_mat, grid):
         drift: callable (x, t) -> (..., n), the full-state drift.
         jacobian: callable (x, t) -> (..., n, n), its state Jacobian.
         q_mat: process noise covariance injected per unit time, (n, n)
-            (zeros on noise-free components).
+            (zeros on noise-free components); its negative eigenvalues
+            count as zero.
         grid: TimeGrid.
 
     Returns:
         EkfMoments at grid.t1 with symmetrized covariance.
+
+    Raises:
+        IntegrationError: if q_mat, the drift or the moments are not
+            finite.
     """
     mean = np.asarray(moments.mean, dtype=float).copy()
     cov = np.asarray(moments.cov, dtype=float)
     n = mean.shape[-1]
     dt = grid.dt
-    w, v = np.linalg.eigh(np.asarray(q_mat, dtype=float))
+    q_mat = np.asarray(q_mat, dtype=float)
+    if not np.all(np.isfinite(q_mat)):
+        raise IntegrationError("EKF process noise non-finite")
+    w, v = np.linalg.eigh(q_mat)
     keep = w > 0.0
     step_cols = np.sqrt(dt) * (v[:, keep] * np.sqrt(w[keep]))
     r = step_cols.shape[-1]

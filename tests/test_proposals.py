@@ -138,6 +138,14 @@ class TestEkfPredict:
                         lambda x, t: np.zeros(x.shape + (1,)),
                         np.array([[0.1]]), TimeGrid(0.0, 1.0, 2))
 
+    def test_nonfinite_process_noise_raises(self):
+        # A NaN in Q must not vanish with the eigenvalues it spoils.
+        with pytest.raises(IntegrationError):
+            ekf_predict(EkfMoments.from_states(np.array([[1.0, 0.0]])),
+                        lambda x, t: np.zeros_like(x),
+                        lambda x, t: np.zeros(x.shape + (2,)),
+                        np.diag([0.0, np.nan]), TimeGrid(0.0, 1.0, 2))
+
     def test_batched_over_particles(self):
         states = np.array([[0.0], [1.0], [2.0]])
         out = ekf_predict(EkfMoments.from_states(states),
