@@ -9,12 +9,11 @@ conjugate static parameters can be marginalized in closed form.
 
 from .exceptions import (ConfigError, DegeneracyError, DiffusionError,
                          IntegrationError, SdepfError, SingularMatrixError)
-from .sde import (BrownianIncrements, DiffusionSpec, OdeField, SdeModel,
-                  SplitSdeModel, TimeGrid, euler_maruyama_step, integrate_ode,
-                  integrate_sde, sample_brownian_increments)
+from .sde import (BrownianIncrements, DiffusionSpec, SdeModel, SplitSdeModel,
+                  TimeGrid, integrate_sde, sample_brownian_increments)
 from .girsanov import (CoupledResult, ImportanceSpec, SplitCoupledResult,
                        estimate_kl, prior_proposal, propagate_coupled,
-                       propagate_coupled_split, step_llr)
+                       propagate_coupled_split)
 from .filtering import (FilterConfig, FilterResult, MeasurementModel,
                         ParticleSet, StepStats, SummaryRow,
                         effective_sample_size, finish_step,
@@ -27,29 +26,25 @@ from .raoblackwell import (CondGaussModel, ConjugateFamily, GaussianBlock,
                            init_rb_gauss_set, invchi2_family, kalman_update,
                            propagate_gaussian_block, rb_gauss_step,
                            rb_param_step, repair_cov)
-from .proposals import (BridgeSpec, EkfMoments, build_bridge, ekf_condition,
-                        ekf_predict)
+from .proposals import EkfMoments, build_bridge, ekf_condition, ekf_predict
 from . import models
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "BridgeSpec", "BrownianIncrements", "CondGaussModel", "ConfigError",
+    "BrownianIncrements", "CondGaussModel", "ConfigError",
     "ConjugateFamily", "CoupledResult", "DegeneracyError", "DiffusionError",
     "DiffusionSpec", "EkfMoments", "FilterConfig", "FilterResult",
     "GaussianBlock", "ImportanceSpec", "IntegrationError", "MeasurementModel",
-    "OdeField", "ParticleSet", "SdeModel", "SdepfError",
-    "SingularMatrixError", "SplitCoupledResult", "SplitSdeModel", "StepStats",
-    "SummaryRow", "TimeGrid", "build_bridge", "effective_sample_size",
-    "ekf_condition", "ekf_predict", "estimate_kl", "euler_maruyama_step",
-    "eval_mixture", "gamma_poisson_family", "gaussian_measurement",
-    "init_particle_set", "init_rb_gauss_set", "integrate_ode",
-    "integrate_sde", "invchi2_family", "kalman_update", "models",
-    "normalize_log_weights", "prior_proposal", "propagate_coupled",
+    "ParticleSet", "SdeModel", "SdepfError", "SingularMatrixError",
+    "SplitCoupledResult", "SplitSdeModel", "StepStats", "SummaryRow",
+    "TimeGrid", "build_bridge", "effective_sample_size", "ekf_condition",
+    "ekf_predict", "estimate_kl", "eval_mixture", "finish_step",
+    "gamma_poisson_family", "gaussian_measurement", "init_particle_set",
+    "init_rb_gauss_set", "integrate_sde", "invchi2_family", "kalman_update",
+    "models", "normalize_log_weights", "prior_proposal", "propagate_coupled",
     "propagate_coupled_split", "propagate_gaussian_block", "rb_gauss_step",
-    "rb_param_step", "repair_cov", "run_filter",
-    "sample_brownian_increments",
-    "finish_step", "seed_streams", "sir_step", "step_llr",
-    "systematic_counts",
-    "systematic_resample", "systematic_resample_indices",
+    "rb_param_step", "repair_cov", "run_filter", "sample_brownian_increments",
+    "seed_streams", "sir_step", "systematic_counts", "systematic_resample",
+    "systematic_resample_indices",
 ]

@@ -324,7 +324,14 @@ def _advance(model, imp, states, grid, vals, record_noise=False):
     return res.state, res.llr, res.model_noise
 
 
-def _propagate(pset, model, builder, y, grid, noise_rng, threads=1,
+def _as_builder(proposal):
+    """The per-chunk proposal builder (chunk, grid, y) -> ImportanceSpec
+    of a step's proposal argument: a builder as it is, or a constant
+    ImportanceSpec."""
+    return proposal if callable(proposal) else (lambda chunk, grid, y: proposal)
+
+
+def _propagate(pset, model, proposal, y, grid, noise_rng, threads=1,
                record_noise=False):
     """Draw one interval's noise block and propagate every particle.
 
@@ -334,8 +341,9 @@ def _propagate(pset, model, builder, y, grid, noise_rng, threads=1,
     Args:
         pset: ParticleSet before the interval.
         model: SdeModel, or SplitSdeModel (states hold (x1, x2)).
-        builder: callable (chunk, grid, y) -> ImportanceSpec.
-        y: measurement at grid.t1 (passed to the builder).
+        proposal: ImportanceSpec, or a builder (chunk, grid, y) ->
+            ImportanceSpec.
+        y: measurement at grid.t1 (passed to a builder).
         grid: TimeGrid of the interval.
         noise_rng: generator for the noise block.
         threads: worker threads for the propagation.
@@ -345,6 +353,7 @@ def _propagate(pset, model, builder, y, grid, noise_rng, threads=1,
         (states (N, n), llr (N,)), plus the model increments
         (N, n_steps, s) when record_noise is set.
     """
+    builder = _as_builder(proposal)
     incs = draw_increments(grid, model.diffusion, noise_rng, pset.n)
 
     def phase(sl):
@@ -356,8 +365,8 @@ def _propagate(pset, model, builder, y, grid, noise_rng, threads=1,
     return _chunk_map(pset, threads, phase)
 
 
-def sir_step(pset, model, imp, meas_model, y, grid, *, builder=None,
-             ess_threshold=0.5, resample_rng=None, noise_rng, threads=1):
+def sir_step(pset, model, proposal, meas_model, y, grid, *, ess_threshold=0.5,
+             resample_rng=None, noise_rng, threads=1):
     """One measurement cycle of the sequential importance resampling filter.
 
     Propagates every particle under the importance SDE over the interval,
@@ -368,20 +377,17 @@ def sir_step(pset, model, imp, meas_model, y, grid, *, builder=None,
     Args:
         pset: current ParticleSet (states (N, n)).
         model: SdeModel, or SplitSdeModel with (x1, x2) concatenated.
-        imp: ImportanceSpec for this interval; ignored when a builder
-            is given.
+        proposal: ImportanceSpec for this interval, or a builder
+            (chunk, grid, y) -> ImportanceSpec.
         meas_model: MeasurementModel for y.
         y: measurement value at grid.t1.
         grid: TimeGrid from the previous measurement time to this one.
-        builder: optional callable (chunk, grid, y) -> ImportanceSpec.
         noise_rng: generator for the interval's noise block.
 
     Returns:
         (ParticleSet, StepStats).
     """
-    if builder is None:
-        builder = lambda chunk, g, yy: imp
-    states, llr = _propagate(pset, model, builder, y, grid, noise_rng,
+    states, llr = _propagate(pset, model, proposal, y, grid, noise_rng,
                              threads)
     loglik = np.asarray(meas_model.log_likelihood(y, states), dtype=float)
     return finish_step(pset, states, llr, loglik, grid.t1,
@@ -533,7 +539,6 @@ def run_filter(model, proposal, meas_model, times, ys, config, *,
     if config.move_steps and method != "rb_param":
         raise ValueError("move_steps applies to method 'rb_param' only")
 
-    builder = proposal if callable(proposal) else (lambda pset, grid, y: proposal)
     init_rng, noise_rng, resample_rng, summary_rng, *move_rng = seed_streams(
         config.seed, moves=config.move_steps > 0)
     n = config.n_particles
@@ -585,20 +590,21 @@ def run_filter(model, proposal, meas_model, times, ys, config, *,
     summaries = [summarize(pset, 0, config.t0, float(pset.n), 0.0, False)]
     log_ml = 0.0
     t_prev = config.t0
-    step = dict(builder=builder, ess_threshold=config.ess_threshold,
+    step = dict(ess_threshold=config.ess_threshold,
                 resample_rng=resample_rng, noise_rng=noise_rng,
                 threads=config.threads)
 
     for k, (t_k, y_k) in enumerate(zip(times, ys), start=1):
         grid = TimeGrid(t_prev, float(t_k), config.n_steps)
         if method in ("sir", "sir_split"):
-            pset, st = sir_step(pset, model, None, meas_model, y_k, grid,
+            pset, st = sir_step(pset, model, proposal, meas_model, y_k, grid,
                                 **step)
         elif method == "rb_gauss":
-            pset, st = rb.rb_gauss_step(pset, model, None, y_k, grid, **step)
+            pset, st = rb.rb_gauss_step(pset, model, proposal, y_k, grid,
+                                        **step)
         else:
-            pset, st = rb.rb_param_step(pset, model, None, family, y_k, grid,
-                                        cond_fn=cond_fn, **step, **moves)
+            pset, st = rb.rb_param_step(pset, model, proposal, family, y_k,
+                                        grid, cond_fn=cond_fn, **step, **moves)
 
         log_ml += st.log_ml_increment
         summaries.append(summarize(pset, k, float(t_k), st.ess, log_ml,

@@ -24,6 +24,13 @@ E[exp(Lambda)] = 1 holds at any step size, not just in the limit.
 Setting an ImportanceSpec's dispersion to None declares B identical to L;
 the scaling L B^-1 is then treated as the exact identity, which keeps
 bootstrap proposals (g = f) bit-exactly weight-free.
+
+One loop, _coupled_loop, runs this recursion for every filter.  Its state
+is split into a noise-free block, moved by forward Euler (absent for a
+plain SdeModel), and the noise-driven block above.  propagate_coupled and
+propagate_coupled_split are its entry points for SdeModel and
+SplitSdeModel, and the marginalized Gaussian filter calls it with a
+per-step hook that moves the conditional moments along the sampled path.
 """
 
 from dataclasses import dataclass
@@ -32,12 +39,11 @@ import numpy as np
 
 from ._linalg import (as_square_matrix, guarded_inv, mat_mul, mat_vec,
                       quad_form)
-from .exceptions import IntegrationError
-from .sde import BrownianIncrements, DiffusionSpec
+from .sde import _check_finite, _increment_values
 
 __all__ = [
     "ImportanceSpec", "CoupledResult", "SplitCoupledResult",
-    "prior_proposal", "step_llr", "propagate_coupled",
+    "prior_proposal", "propagate_coupled",
     "propagate_coupled_split", "estimate_kl",
 ]
 
@@ -106,9 +112,9 @@ def _prior_drift(model):
 
 
 def _is_prior(model, imp):
-    """Whether imp is the bootstrap proposal of model.  The kernels then
-    alias the scaled state to the proposal state, evaluate each drift
-    once and leave Lambda at exactly zero, which is what the full
+    """Whether imp is the bootstrap proposal of model.  The loop then
+    aliases the scaled state to the proposal state, evaluates each drift
+    once and leaves Lambda at exactly zero, which is what the full
     recursion computes there."""
     return imp.dispersion is None and imp.drift is _prior_drift(model)
 
@@ -117,23 +123,8 @@ def _matrix_at(value, t):
     """Evaluate an array-or-callable matrix spec at time t."""
     if value is None:
         return None
-    if isinstance(value, DiffusionSpec):
-        return value.at(t)
-    if callable(value):
-        out = np.asarray(value(t), dtype=float)
-        return out.reshape(1, 1) if out.ndim == 0 else out
-    arr = np.asarray(value, dtype=float)
-    if arr.ndim == 0:
-        return arr.reshape(1, 1)
-    return arr
-
-
-def _matrix_constant(value):
-    if value is None:
-        return True
-    if isinstance(value, DiffusionSpec):
-        return value.constant
-    return not callable(value)
+    out = np.asarray(value(t) if callable(value) else value, dtype=float)
+    return out.reshape(1, 1) if out.ndim == 0 else out
 
 
 class _LlrOps:
@@ -164,7 +155,7 @@ def _ops_at(model, imp, grid):
         return _LlrOps(model.dispersion.at(t), _matrix_at(imp.dispersion, t),
                        model.diffusion.at(t), t)
     if model.dispersion.constant and model.diffusion.constant \
-            and _matrix_constant(imp.dispersion):
+            and not callable(imp.dispersion):
         ops = build(grid.t0)
         return lambda t: ops
     return build
@@ -180,49 +171,101 @@ def _llr_kernel(llr, f_val, g_val, ops, dt, dbeta):
     return llr + lin - 0.5 * quad * dt
 
 
-def step_llr(llr, f_at_sstar, g_at_s, dispersion_l, dispersion_b,
-             diffusion_q, t, dt, dbeta):
-    """One Euler update of the log likelihood ratio.
-
-    Args:
-        llr: running Lambda, shape (...,) or scalar.
-        f_at_sstar: target drift evaluated at s*(t), shape (..., s).
-        g_at_s: proposal drift evaluated at s(t), shape (..., s).
-        dispersion_l: L, array or callable of t.
-        dispersion_b: B, array, callable, or None for "B is L".
-        diffusion_q: Q, array, callable or DiffusionSpec.
-        t: left endpoint of the step.
-        dt: step size.
-        dbeta: Brownian increment used by the proposal on this step.
-
-    Returns:
-        Updated Lambda.
-    """
-    ops = _LlrOps(_matrix_at(dispersion_l, t), _matrix_at(dispersion_b, t),
-                  _matrix_at(diffusion_q, t), t)
-    return _llr_kernel(np.asarray(llr, dtype=float),
-                       np.asarray(f_at_sstar, dtype=float),
-                       np.asarray(g_at_s, dtype=float),
-                       ops, dt, np.asarray(dbeta, dtype=float))
-
-
-def _increment_values(incs, grid):
-    vals = incs.values if isinstance(incs, BrownianIncrements) else np.asarray(incs, dtype=float)
-    if vals.shape[-2] != grid.n_steps:
-        raise ValueError("increments cover %d steps, grid has %d"
-                         % (vals.shape[-2], grid.n_steps))
-    return vals
-
-
-def _check_finite(arr, what, t):
-    if not np.all(np.isfinite(arr)):
-        raise IntegrationError("%s became non-finite at t=%g" % (what, t))
-
-
 def _model_increment(ops, step, f_val, dt):
     """Brownian increment under which the model's Euler step f dt + L db
     equals the scaled-process step (before any constraint)."""
     return mat_vec(ops.l_inv, step - f_val * dt)
+
+
+def _drift_at(drift, s1, s2, t, what):
+    val = np.asarray(drift(s1, s2, t), dtype=float)
+    _check_finite(val, what, t)
+    return val
+
+
+def _euler(s1, f1_val, s2, ds2, dt, constrain):
+    """Move the noise-free block (None if absent) by forward Euler and the
+    stochastic block by ds2, then apply constrain if given."""
+    s1 = None if s1 is None else s1 + f1_val * dt
+    s2 = s2 + ds2
+    return (s1, s2) if constrain is None else constrain(s1, s2)
+
+
+def _coupled_loop(model, imp, drifts, x1_prev, x2_prev, grid, incs,
+                  constrain=None, record_noise=False, on_step=None):
+    """The coupled Euler/Lambda recursion of every filter.
+
+    Runs the proposal pair (s1, s2), the scaled pair (s1*, s2*) and Lambda
+    over the grid on the shared increments.  Noise-free blocks (s1, s1*)
+    move by forward Euler; the weight uses the stochastic-block drifts.
+
+    Args:
+        model: supplies L and Q (and, with imp, the bootstrap short-cut).
+        imp: ImportanceSpec.
+        drifts: (f1, f2, g), the model's noise-free and stochastic block
+            drifts and the proposal drift, each (s1, s2, t); f1 is unused
+            when x1_prev is None.
+        x1_prev: noise-free block states (..., d1) at grid.t0, or None.
+        x2_prev: stochastic block states (..., d2) at grid.t0.
+        grid: TimeGrid.
+        incs: BrownianIncrements or array (..., n_steps, d2).
+        constrain: optional (s1, s2) -> (s1, s2) after every step.
+        record_noise: also return the model increments of the s* path.
+        on_step: optional (s1*, s2*, t) called at the start of each step,
+            before the states move.
+
+    Returns:
+        SplitCoupledResult (its det fields None when x1_prev is None).
+    """
+    f1, f2, g = drifts
+    prior = _is_prior(model, imp)
+    s1 = None if x1_prev is None else np.asarray(x1_prev, dtype=float).copy()
+    s2 = np.asarray(x2_prev, dtype=float).copy()
+    s1_star = None if s1 is None else s1.copy()
+    s2_star = s2.copy()
+    vals = _increment_values(incs, grid)
+    llr = np.zeros(s2.shape[:-1])
+    dt = grid.dt
+    noise = np.empty(vals.shape) if record_noise else None
+    ops_at = _ops_at(model, imp, grid)
+
+    for j in range(grid.n_steps):
+        t = grid.t0 + j * dt
+        if on_step is not None:
+            on_step(s1_star, s2_star, t)
+        ops = ops_at(t)
+        g_val = _drift_at(g, s1, s2, t, "proposal drift")
+        f1_val = None if s1 is None else _drift_at(f1, s1, s2, t, "drift")
+        if prior:
+            f2_val = g_val
+        else:
+            f2_val = _drift_at(f2, s1_star, s2_star, t, "drift")
+            f1_star = None if s1 is None \
+                else _drift_at(f1, s1_star, s2_star, t, "drift")
+        db = vals[..., j, :]
+        ds2 = g_val * dt + mat_vec(ops.noise_mat, db)
+        step = ds2 if ops.scale is None else mat_vec(ops.scale, ds2)
+        if record_noise:
+            noise[..., j, :] = _model_increment(ops, step, f2_val, dt)
+        s1, s2 = _euler(s1, f1_val, s2, ds2, dt, constrain)
+        if prior:
+            s1_star, s2_star = s1, s2
+        else:
+            llr = _llr_kernel(llr, f2_val, g_val, ops, dt, db)
+            s1_star, s2_star = _euler(s1_star, f1_star, s2_star, step, dt,
+                                      constrain)
+        if s1_star is not None:
+            _check_finite(s1_star, "state", t + dt)
+        _check_finite(s2_star, "state", t + dt)
+    _check_finite(llr, "log likelihood ratio", grid.t1)
+    return SplitCoupledResult(state_det=s1_star, state_stoch=s2_star,
+                              proposal_det=s1, proposal_stoch=s2, llr=llr,
+                              model_noise=noise)
+
+
+def _on_stoch(drift):
+    """An (x, t) drift as an (s1, s2, t) drift of the stochastic block."""
+    return lambda s1, s2, t: drift(s2, t)
 
 
 def propagate_coupled(model, imp, x_prev, grid, incs, record_noise=False):
@@ -243,40 +286,12 @@ def propagate_coupled(model, imp, x_prev, grid, incs, record_noise=False):
     Returns:
         CoupledResult with s*(t1), s(t1) and Lambda(t1).
     """
-    x = np.asarray(x_prev, dtype=float)
-    vals = _increment_values(incs, grid)
-    prior = _is_prior(model, imp)
-    s = x.copy()
-    s_star = s if prior else x.copy()
-    llr = np.zeros(x.shape[:-1])
-    dt = grid.dt
-    noise = np.empty(vals.shape) if record_noise else None
-    ops_at = _ops_at(model, imp, grid)
-
-    for j in range(grid.n_steps):
-        t = grid.t0 + j * dt
-        ops = ops_at(t)
-        g_val = np.asarray(imp.drift(s, t), dtype=float)
-        f_val = g_val if prior \
-            else np.asarray(model.drift(s_star, t), dtype=float)
-        _check_finite(g_val, "proposal drift", t)
-        if not prior:
-            _check_finite(f_val, "drift", t)
-        db = vals[..., j, :]
-        ds = g_val * dt + mat_vec(ops.noise_mat, db)
-        s = s + ds
-        step = ds if ops.scale is None else mat_vec(ops.scale, ds)
-        if record_noise:
-            noise[..., j, :] = _model_increment(ops, step, f_val, dt)
-        if prior:
-            s_star = s
-        else:
-            llr = _llr_kernel(llr, f_val, g_val, ops, dt, db)
-            s_star = s_star + step
-        _check_finite(s_star, "state", t + dt)
-    _check_finite(llr, "log likelihood ratio", grid.t1)
-    return CoupledResult(state=s_star, proposal_state=s, llr=llr,
-                         model_noise=noise)
+    res = _coupled_loop(model, imp, (None, _on_stoch(model.drift),
+                                     _on_stoch(imp.drift)),
+                        None, x_prev, grid, incs, record_noise=record_noise)
+    return CoupledResult(state=res.state_stoch,
+                         proposal_state=res.proposal_stoch, llr=res.llr,
+                         model_noise=res.model_noise)
 
 
 def propagate_coupled_split(model, imp, x1_prev, x2_prev, grid, incs,
@@ -299,56 +314,10 @@ def propagate_coupled_split(model, imp, x1_prev, x2_prev, grid, incs,
     Returns:
         SplitCoupledResult.
     """
-    s1 = np.asarray(x1_prev, dtype=float).copy()
-    s2 = np.asarray(x2_prev, dtype=float).copy()
-    s1_star = s1.copy()
-    s2_star = s2.copy()
-    vals = _increment_values(incs, grid)
-    llr = np.zeros(s2.shape[:-1])
-    dt = grid.dt
-    noise = np.empty(vals.shape) if record_noise else None
-    ops_at = _ops_at(model, imp, grid)
-    prior = _is_prior(model, imp)
-
-    for j in range(grid.n_steps):
-        t = grid.t0 + j * dt
-        ops = ops_at(t)
-        g_val = np.asarray(imp.drift(s1, s2, t), dtype=float)
-        f1_val = np.asarray(model.drift_det(s1, s2, t), dtype=float)
-        checks = [(g_val, "proposal drift"), (f1_val, "drift")]
-        if prior:
-            f2_val = g_val
-        else:
-            f2_val = np.asarray(model.drift_stoch(s1_star, s2_star, t),
-                                dtype=float)
-            f1_star_val = np.asarray(model.drift_det(s1_star, s2_star, t),
-                                     dtype=float)
-            checks += [(f2_val, "drift"), (f1_star_val, "drift")]
-        for arr, what in checks:
-            _check_finite(arr, what, t)
-        db = vals[..., j, :]
-        ds2 = g_val * dt + mat_vec(ops.noise_mat, db)
-        step = ds2 if ops.scale is None else mat_vec(ops.scale, ds2)
-        if record_noise:
-            noise[..., j, :] = _model_increment(ops, step, f2_val, dt)
-        s1 = s1 + f1_val * dt
-        s2 = s2 + ds2
-        if model.constrain is not None:
-            s1, s2 = model.constrain(s1, s2)
-        if prior:
-            s1_star, s2_star = s1, s2
-        else:
-            llr = _llr_kernel(llr, f2_val, g_val, ops, dt, db)
-            s1_star = s1_star + f1_star_val * dt
-            s2_star = s2_star + step
-            if model.constrain is not None:
-                s1_star, s2_star = model.constrain(s1_star, s2_star)
-        _check_finite(s1_star, "state", t + dt)
-        _check_finite(s2_star, "state", t + dt)
-    _check_finite(llr, "log likelihood ratio", grid.t1)
-    return SplitCoupledResult(state_det=s1_star, state_stoch=s2_star,
-                              proposal_det=s1, proposal_stoch=s2, llr=llr,
-                              model_noise=noise)
+    return _coupled_loop(model, imp,
+                         (model.drift_det, model.drift_stoch, imp.drift),
+                         x1_prev, x2_prev, grid, incs,
+                         constrain=model.constrain, record_noise=record_noise)
 
 
 def estimate_kl(drift_p, drift_q, sigma, paths, grid):

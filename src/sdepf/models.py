@@ -182,13 +182,15 @@ def epidemic_jacobian(g):
     def jac(state, t):
         x, y, lam = state[..., 0], state[..., 1], state[..., 2]
         s = g * np.exp(lam)
+        sy, sx = s * y, s * x
+        sxy = sy * x
         out = np.zeros(state.shape[:-1] + (3, 3))
-        out[..., 0, 0] = -s * y
-        out[..., 0, 1] = -s * x
-        out[..., 0, 2] = -s * y * x
-        out[..., 1, 0] = s * y
-        out[..., 1, 1] = s * x - g
-        out[..., 1, 2] = s * y * x
+        out[..., 0, 0] = -sy
+        out[..., 0, 1] = -sx
+        out[..., 0, 2] = -sxy
+        out[..., 1, 0] = sy
+        out[..., 1, 1] = sx - g
+        out[..., 1, 2] = sxy
         return out
 
     return jac

@@ -24,8 +24,7 @@ from .exceptions import IntegrationError
 from .girsanov import ImportanceSpec
 from .raoblackwell import _gaussian_condition
 
-__all__ = ["EkfMoments", "BridgeSpec", "ekf_predict", "ekf_condition",
-           "build_bridge"]
+__all__ = ["EkfMoments", "ekf_predict", "ekf_condition", "build_bridge"]
 
 
 @dataclass
@@ -164,27 +163,6 @@ def ekf_condition(moments, h_mat, r_mat, y):
     return EkfMoments(mean, cov)
 
 
-@dataclass
-class BridgeSpec:
-    """Endpoint-matched constant bridge for one noise-driven component.
-
-    Attributes:
-        target_mean: desired endpoint mean m_k, shape (...,).
-        target_var: desired endpoint variance P_k, floored away from zero.
-        dt: interval length the bridge spans.
-        q: diffusion coefficient of the component under the model.
-    """
-
-    target_mean: np.ndarray
-    target_var: np.ndarray
-    dt: float
-    q: float
-
-    def __post_init__(self):
-        if self.dt <= 0 or self.q <= 0:
-            raise ValueError("bridge needs dt > 0 and q > 0")
-
-
 # Relative floor on the target variance, in units of the prior endpoint
 # variance q * dt; keeps B away from zero when the EKF collapses.
 VAR_FLOOR = 1e-8
@@ -204,17 +182,21 @@ def build_bridge(x_prev, posterior, dt, q, index):
         ImportanceSpec whose drift is the constant (m_k - x_prev) / dt per
         particle and whose dispersion is sqrt(P_k / (q dt)); simulating it
         with Euler steps reproduces mean m_k and variance P_k at the
-        interval end exactly.
+        interval end exactly.  P_k is floored at VAR_FLOOR * q * dt.
+
+    Raises:
+        ValueError: unless dt > 0 and q > 0.
     """
+    if dt <= 0 or q <= 0:
+        raise ValueError("bridge needs dt > 0 and q > 0")
+    dt, q = float(dt), float(q)
     x_prev = np.asarray(x_prev, dtype=float)
     m_k = np.asarray(posterior.mean, dtype=float)[..., index]
     p_k = np.asarray(posterior.cov, dtype=float)[..., index, index]
     p_k = np.maximum(p_k, VAR_FLOOR * q * dt)
-    spec = BridgeSpec(target_mean=m_k, target_var=p_k, dt=float(dt), q=float(q))
 
-    g_const = (spec.target_mean - x_prev[..., index]) / spec.dt
-    b_scalar = np.sqrt(spec.target_var / (spec.q * spec.dt))
-    b_mat = b_scalar[..., None, None]
+    g_const = (m_k - x_prev[..., index]) / dt
+    b_mat = np.sqrt(p_k / (q * dt))[..., None, None]
 
     def drift(*args):
         # Last positional is t, second to last the stochastic block state.

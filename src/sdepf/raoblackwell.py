@@ -29,10 +29,10 @@ from scipy.special import gammaln
 from ._linalg import (TimeMatrix, guarded_inv, log_mvn_density, mat_mul,
                       mat_vec, symmetrize)
 from .exceptions import IntegrationError
-from .filtering import (ParticleSet, _advance, _chunk_map, _propagate,
-                        draw_increments, finish_step, init_particle_set)
-from .girsanov import (_is_prior, _llr_kernel, _matrix_at, _ops_at,
-                       prior_proposal)
+from .filtering import (ParticleSet, _advance, _as_builder, _chunk_map,
+                        _propagate, draw_increments, finish_step,
+                        init_particle_set)
+from .girsanov import _coupled_loop, _matrix_at, prior_proposal
 from .sde import BrownianIncrements, DiffusionSpec
 
 __all__ = [
@@ -212,21 +212,21 @@ def init_rb_gauss_set(model, rng, n, *, init_sampler=None, init_gauss=None):
     return init_particle_set(sampler, rng, n, gauss=block)
 
 
-def rb_gauss_step(pset, model, imp, y, grid, *, builder=None,
-                  ess_threshold=0.5, resample_rng=None, noise_rng,
-                  threads=1):
+def rb_gauss_step(pset, model, proposal, y, grid, *, ess_threshold=0.5,
+                  resample_rng=None, noise_rng, threads=1):
     """One cycle of the marginalized filter for CondGaussModel.
 
-    Samples (x2, x3) under the proposal with likelihood-ratio weights,
-    advances each particle's conditional moments along its sampled path,
-    applies the Kalman update at the measurement, and weights by
+    Samples (x2, x3) under the proposal with likelihood-ratio weights by
+    the coupled Euler/Lambda loop of every filter, whose per-step hook
+    advances each particle's conditional moments along its scaled path;
+    then applies the Kalman update at the measurement and weights by
     Z * N(y; H m^-, S).
 
     Args:
         pset: ParticleSet with states (N, d2+d3) and a gauss payload.
         model: CondGaussModel.
-        imp: ImportanceSpec with drift g3(x2, x3, t); ignored when a
-            builder is given.
+        proposal: ImportanceSpec with drift g3(x2, x3, t), or a builder
+            (chunk, grid, y) -> ImportanceSpec.
         y: measurement at grid.t1.
         grid: TimeGrid of the interval.
         noise_rng: generator for the interval's noise block, drawn for
@@ -235,54 +235,34 @@ def rb_gauss_step(pset, model, imp, y, grid, *, builder=None,
     Returns:
         (ParticleSet, StepStats).
     """
-    if builder is None:
-        builder = lambda chunk, g, yy: imp
+    builder = _as_builder(proposal)
     incs = draw_increments(grid, model.diffusion, noise_rng, pset.n)
 
     def phase(sl):
         chunk = pset.take(sl)
-        imp_c = builder(chunk, grid, y)
+        imp = builder(chunk, grid, y)
+        mean = np.asarray(chunk.gauss.mean, dtype=float)
+        cov = np.asarray(chunk.gauss.cov, dtype=float)
+
+        def advance_moments(s2s, s3s, t):
+            nonlocal mean, cov
+            mean, cov = _block_step(
+                mean, cov,
+                np.asarray(model.lin_coeff(s2s, s3s, t), dtype=float),
+                np.asarray(model.lin_shift(s2s, s3s, t), dtype=float),
+                np.asarray(model.lin_noise(s2s, s3s, t), dtype=float),
+                model.lin_diffusion.at(t), grid.dt)
+
         x2, x3 = model.split(chunk.states)
-        s2, s3 = x2.copy(), x3.copy()
-        prior = _is_prior(model, imp_c)
-        s2s, s3s = (s2, s3) if prior else (x2.copy(), x3.copy())
-        mean = np.asarray(chunk.gauss.mean, dtype=float).copy()
-        cov = np.asarray(chunk.gauss.cov, dtype=float).copy()
-        vals = incs.values[sl]
-        llr = np.zeros(s3.shape[:-1])
-        dt = grid.dt
-        ops_at = _ops_at(model, imp_c, grid)
-        for j in range(grid.n_steps):
-            t = grid.t0 + j * dt
-            ops = ops_at(t)
-            g_val = np.asarray(imp_c.drift(s2, s3, t), dtype=float)
-            f2_plain = np.asarray(model.drift_det(s2, s3, t), dtype=float)
-            f_mat = np.asarray(model.lin_coeff(s2s, s3s, t), dtype=float)
-            shift = np.asarray(model.lin_shift(s2s, s3s, t), dtype=float)
-            v_mat = np.asarray(model.lin_noise(s2s, s3s, t), dtype=float)
-            q_eta = model.lin_diffusion.at(t)
-            db = vals[..., j, :]
-            ds3 = g_val * dt + mat_vec(ops.noise_mat, db)
-            if not prior:
-                f3_star = np.asarray(model.drift_stoch(s2s, s3s, t),
-                                     dtype=float)
-                f2_star = np.asarray(model.drift_det(s2s, s3s, t), dtype=float)
-                llr = _llr_kernel(llr, f3_star, g_val, ops, dt, db)
-            mean, cov = _block_step(mean, cov, f_mat, shift, v_mat, q_eta, dt)
-            s2 = s2 + f2_plain * dt
-            s3 = s3 + ds3
-            if prior:
-                s2s, s3s = s2, s3
-            else:
-                s2s = s2s + f2_star * dt
-                s3s = s3s + ds3 if ops.scale is None \
-                    else s3s + mat_vec(ops.scale, ds3)
-        for arr in (s2s, s3s, mean, cov, llr):
-            if not np.all(np.isfinite(arr)):
-                raise IntegrationError("non-finite values while propagating "
-                                       "to t=%g" % grid.t1)
-        states = np.concatenate([s2s, s3s], axis=-1)
-        return states, mean, cov, llr
+        res = _coupled_loop(model, imp, (model.drift_det, model.drift_stoch,
+                                         imp.drift),
+                            x2, x3, grid, incs.values[sl],
+                            on_step=advance_moments)
+        if not (np.all(np.isfinite(mean)) and np.all(np.isfinite(cov))):
+            raise IntegrationError("Gaussian block moments non-finite at "
+                                   "t=%g" % grid.t1)
+        states = np.concatenate([res.state_det, res.state_stoch], axis=-1)
+        return states, mean, cov, res.llr
 
     states, mean, cov, llr = _chunk_map(pset, threads, phase)
     x2s, x3s = model.split(states)
@@ -461,10 +441,9 @@ def _resample_move(pset, model, family, cond_fn, sampler, sweeps, rng,
     return pset
 
 
-def rb_param_step(pset, model, imp, family, y, grid, *, cond_fn,
-                  builder=None, ess_threshold=0.5, resample_rng=None,
-                  noise_rng, threads=1, move_steps=0, move_rng=None,
-                  init_sampler=None):
+def rb_param_step(pset, model, proposal, family, y, grid, *, cond_fn,
+                  ess_threshold=0.5, resample_rng=None, noise_rng, threads=1,
+                  move_steps=0, move_rng=None, init_sampler=None):
     """One cycle of the conjugate-parameter marginalized filter.
 
     Particles are propagated as in the plain filter; the measurement
@@ -477,7 +456,8 @@ def rb_param_step(pset, model, imp, family, y, grid, *, cond_fn,
     Args:
         pset: ParticleSet with a stats payload (N, ...).
         model: SdeModel or SplitSdeModel.
-        imp: ImportanceSpec; ignored when a builder is given.
+        proposal: ImportanceSpec, or a builder (chunk, grid, y) ->
+            ImportanceSpec.
         family: ConjugateFamily.
         y: measurement at grid.t1.
         grid: TimeGrid of the interval.
@@ -493,12 +473,10 @@ def rb_param_step(pset, model, imp, family, y, grid, *, cond_fn,
     Returns:
         (ParticleSet, StepStats).
     """
-    if builder is None:
-        builder = lambda chunk, g, yy: imp
     record = pset.path is not None
     if move_steps and not record:
         raise ValueError("resample-move needs a PathRecord payload")
-    out = _propagate(pset, model, builder, y, grid, noise_rng, threads,
+    out = _propagate(pset, model, proposal, y, grid, noise_rng, threads,
                      record_noise=record)
     states, llr = out[:2]
     u = np.asarray(cond_fn(pset.states, states), dtype=float)

@@ -15,13 +15,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._linalg import TimeMatrix, as_square_matrix, mat_vec
+from ._linalg import TimeMatrix, mat_vec
 from .exceptions import DiffusionError, IntegrationError
 
 __all__ = [
-    "TimeGrid", "DiffusionSpec", "SdeModel", "SplitSdeModel", "OdeField",
-    "BrownianIncrements", "sample_brownian_increments",
-    "euler_maruyama_step", "integrate_sde", "integrate_ode",
+    "TimeGrid", "DiffusionSpec", "SdeModel", "SplitSdeModel",
+    "BrownianIncrements", "sample_brownian_increments", "integrate_sde",
 ]
 
 
@@ -184,14 +183,6 @@ class SplitSdeModel:
         return x[..., :self.dim_det], x[..., self.dim_det:]
 
 
-@dataclass
-class OdeField:
-    """Deterministic vector field dx/dt = f(x, t), batched like SdeModel."""
-
-    dim_state: int
-    field: object
-
-
 class BrownianIncrements:
     """Increments of the driving Brownian motion on a grid.
 
@@ -262,31 +253,20 @@ def sample_brownian_increments(grid, diffusion, rng, n_paths=None):
                                          rng.standard_normal(shape))
 
 
+def _increment_values(incs, grid):
+    """The (..., n_steps, s) values of incs (BrownianIncrements or array),
+    checked against the grid's step count."""
+    vals = incs.values if isinstance(incs, BrownianIncrements) \
+        else np.asarray(incs, dtype=float)
+    if vals.shape[-2] != grid.n_steps:
+        raise ValueError("increments cover %d steps, grid has %d"
+                         % (vals.shape[-2], grid.n_steps))
+    return vals
+
+
 def _check_finite(arr, what, t):
     if not np.all(np.isfinite(arr)):
         raise IntegrationError("%s became non-finite at t=%g" % (what, t))
-
-
-def euler_maruyama_step(x, drift, dispersion, t, dt, dbeta):
-    """One Euler-Maruyama step x + f(x, t) dt + L(t) dbeta.
-
-    Args:
-        x: states (..., n).
-        drift: callable (x, t) -> (..., n).
-        dispersion: L as array (n x s) or callable of t.
-        t: left endpoint of the step.
-        dt: step size.
-        dbeta: Brownian increments (..., s).
-
-    Returns:
-        States at t + dt, same shape as x.
-    """
-    x = np.asarray(x, dtype=float)
-    fx = np.asarray(drift(x, t), dtype=float)
-    _check_finite(fx, "drift", t)
-    l_mat = dispersion.at(t) if isinstance(dispersion, TimeMatrix) \
-        else TimeMatrix(dispersion, "dispersion L").at(t)
-    return x + fx * dt + mat_vec(l_mat, np.asarray(dbeta, dtype=float))
 
 
 def integrate_sde(model, x0, grid, incs):
@@ -302,10 +282,7 @@ def integrate_sde(model, x0, grid, incs):
         Path array of shape (n_steps + 1, ..., n); path[0] is x0.
     """
     x = np.asarray(x0, dtype=float)
-    vals = incs.values if isinstance(incs, BrownianIncrements) else np.asarray(incs)
-    if vals.shape[-2] != grid.n_steps:
-        raise ValueError("increments cover %d steps, grid has %d"
-                         % (vals.shape[-2], grid.n_steps))
+    vals = _increment_values(incs, grid)
     dt = grid.dt
     l_const = model.dispersion.constant
     l_mat = model.dispersion.at(grid.t0) if l_const else None
@@ -317,32 +294,6 @@ def integrate_sde(model, x0, grid, incs):
         _check_finite(fx, "drift", t)
         lj = l_mat if l_const else model.dispersion.at(t)
         x = x + fx * dt + mat_vec(lj, vals[..., j, :])
-        _check_finite(x, "state", t + dt)
-        path[j + 1] = x
-    return path
-
-
-def integrate_ode(field, x0, grid):
-    """Forward Euler integration of an OdeField over one grid.
-
-    Args:
-        field: OdeField (or a bare callable (x, t) -> dx/dt).
-        x0: initial states (..., n).
-        grid: TimeGrid.
-
-    Returns:
-        Path array of shape (n_steps + 1, ..., n); path[0] is x0.
-    """
-    f = field.field if isinstance(field, OdeField) else field
-    x = np.asarray(x0, dtype=float)
-    dt = grid.dt
-    path = np.empty((grid.n_steps + 1,) + x.shape)
-    path[0] = x
-    for j in range(grid.n_steps):
-        t = grid.t0 + j * dt
-        fx = np.asarray(f(x, t), dtype=float)
-        _check_finite(fx, "drift", t)
-        x = x + fx * dt
         _check_finite(x, "state", t + dt)
         path[j + 1] = x
     return path

@@ -7,7 +7,7 @@ from scipy.stats import norm
 from sdepf import (DiffusionSpec, ImportanceSpec, SdeModel, SplitSdeModel,
                    TimeGrid, estimate_kl, integrate_sde, models,
                    prior_proposal, propagate_coupled, propagate_coupled_split,
-                   sample_brownian_increments, step_llr)
+                   sample_brownian_increments)
 from sdepf.sde import BrownianIncrements
 
 
@@ -16,23 +16,27 @@ def _ou_model(rate=1.0, q=1.0):
 
 
 class TestStepLlr:
+    """One and two Euler steps of Lambda with constant drifts."""
+
+    @staticmethod
+    def _llr(n_steps):
+        model = SdeModel(1, 1, lambda x, t: np.full(x.shape, -1.0), 1.0, 0.01)
+        imp = ImportanceSpec(drift=lambda x, t: np.zeros(x.shape),
+                             dispersion=1.0)
+        grid = TimeGrid(0.0, 0.1 * n_steps, n_steps)
+        incs = BrownianIncrements(np.full((1, n_steps, 1), 0.01))
+        return propagate_coupled(model, imp, np.zeros((1, 1)), grid,
+                                 incs).llr
+
     def test_hand_value(self):
         # [DERIVED] d = f - g = -1, q = 0.01, L = B = 1:
         # increment = d*(1/q)*dbeta - 0.5*d^2*(1/q)*dt
         #           = (-1)(100)(0.01) - 0.5(100)(0.1) = -6.
-        out = step_llr(np.zeros(1), np.array([[-1.0]]), np.array([[0.0]]),
-                       np.array([[1.0]]), np.array([[1.0]]),
-                       np.array([[0.01]]), 0.0, 0.1, np.array([[0.01]]))
-        np.testing.assert_allclose(out, [-6.0], rtol=0, atol=1e-12)
+        np.testing.assert_allclose(self._llr(1), [-6.0], rtol=0, atol=1e-12)
 
     def test_accumulates_from_previous_value(self):
-        base = step_llr(np.zeros(1), np.array([[-1.0]]), np.array([[0.0]]),
-                        np.array([[1.0]]), np.array([[1.0]]),
-                        np.array([[0.01]]), 0.0, 0.1, np.array([[0.01]]))
-        again = step_llr(base, np.array([[-1.0]]), np.array([[0.0]]),
-                         np.array([[1.0]]), np.array([[1.0]]),
-                         np.array([[0.01]]), 0.1, 0.1, np.array([[0.01]]))
-        np.testing.assert_allclose(again, 2.0 * base, rtol=1e-14)
+        np.testing.assert_allclose(self._llr(2), 2.0 * self._llr(1),
+                                   rtol=1e-14)
 
 
 class TestConstantDriftClosedForm:
@@ -158,6 +162,44 @@ class TestPriorShortCut:
         for name in ("state_det", "state_stoch", "proposal_det",
                      "proposal_stoch", "llr", "model_noise"):
             _assert_same_bits(getattr(short, name), getattr(full, name))
+
+
+class TestOneLoop:
+    """An SdeModel and the same dynamics as a SplitSdeModel with no
+    noise-free block run the same loop, so they agree bit for bit."""
+
+    @pytest.mark.parametrize("bootstrap", [True, False])
+    def test_plain_equals_split_without_det_block(self, bootstrap):
+        def drift(x, t):
+            return np.sin(x[..., ::-1]) - 0.5 * x + t
+
+        q = np.array([[0.5, 0.1], [0.1, 1.2]])
+        l_mat = np.array([[1.0, 0.0], [0.4, 0.8]])
+        plain = SdeModel(2, 2, drift, l_mat, q)
+        split = SplitSdeModel(0, 2, 2, lambda s1, s2, t: s1,
+                              lambda s1, s2, t: drift(s2, t), l_mat, q)
+        if bootstrap:
+            imps = prior_proposal(plain), prior_proposal(split)
+        else:
+            b_mat = np.array([[1.5, 0.0], [-0.2, 0.9]])
+            imps = (ImportanceSpec(lambda x, t: drift(x, t) + 0.3, b_mat),
+                    ImportanceSpec(lambda s1, s2, t: drift(s2, t) + 0.3,
+                                   b_mat))
+        grid = TimeGrid(0.0, 1.0, 15)
+        rng = np.random.default_rng(21)
+        incs = sample_brownian_increments(grid, plain.diffusion, rng,
+                                          n_paths=30)
+        x0 = rng.normal(size=(30, 2))
+        a = propagate_coupled(plain, imps[0], x0, grid, incs,
+                              record_noise=True)
+        b = propagate_coupled_split(split, imps[1], np.empty((30, 0)), x0,
+                                    grid, incs, record_noise=True)
+        assert np.all(a.llr == 0.0) == bootstrap
+        for name_a, name_b in (("state", "state_stoch"),
+                               ("proposal_state", "proposal_stoch"),
+                               ("llr", "llr"),
+                               ("model_noise", "model_noise")):
+            _assert_same_bits(getattr(a, name_a), getattr(b, name_b))
 
 
 class TestChainDensityRatio:

@@ -105,6 +105,27 @@ class TestEpidemicPieces:
                                    _finite_difference_jacobian(drift, x),
                                    atol=1e-7)
 
+    def test_jacobian_bits_match_the_per_entry_products(self):
+        # The Jacobian computes s y, s x and s y x once each; every entry
+        # must keep the bits of the per-entry formula written out here,
+        # signed zeros included.
+        g = 0.9
+        rng = np.random.default_rng(5)
+        x = np.concatenate([rng.random(200), [0.0, -0.0, 0.3, 0.0, -0.0]])
+        y = np.concatenate([rng.random(200), [0.2, 0.0, -0.0, -0.0, 0.0]])
+        lam = np.concatenate([rng.normal(0.0, 8.0, 200),
+                              [20.0, -20.0, 0.0, 20.0, -20.0]])
+        state = np.stack([x, y, lam], axis=-1)
+        s = g * np.exp(lam)
+        ref = np.zeros((x.size, 3, 3))
+        ref[:, 0, 0] = -s * y
+        ref[:, 0, 1] = -s * x
+        ref[:, 0, 2] = -s * y * x
+        ref[:, 1, 0] = s * y
+        ref[:, 1, 1] = s * x - g
+        ref[:, 1, 2] = s * y * x
+        assert epidemic_jacobian(g)(state, 0.0).tobytes() == ref.tobytes()
+
     def test_theta_hand_values(self):
         # [DERIVED] susceptible+infective drops from 0.9 to 0.75.
         start = np.array([0.6, 0.3, 0.0])

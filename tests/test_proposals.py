@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 from scipy import stats as sps
 
-from sdepf import (BridgeSpec, EkfMoments, ImportanceSpec, SdeModel, TimeGrid,
+from sdepf import (EkfMoments, ImportanceSpec, SdeModel, TimeGrid,
                    build_bridge, ekf_condition, ekf_predict, propagate_coupled,
                    sample_brownian_increments)
 from sdepf.exceptions import IntegrationError
@@ -187,14 +187,6 @@ class TestEkfCondition:
         np.testing.assert_array_equal(out.cov, np.swapaxes(out.cov, -1, -2))
 
 
-class TestBridgeSpec:
-    def test_rejects_bad_parameters(self):
-        with pytest.raises(ValueError):
-            BridgeSpec(np.array(0.0), np.array(1.0), dt=0.0, q=1.0)
-        with pytest.raises(ValueError):
-            BridgeSpec(np.array(0.0), np.array(1.0), dt=1.0, q=0.0)
-
-
 class TestBuildBridge:
     def _posterior(self, means, varis):
         n = len(means)
@@ -243,6 +235,13 @@ class TestBuildBridge:
         stat = sps.kstest(res.proposal_state[:, 0],
                           sps.norm(loc=-1.2, scale=0.5).cdf)
         assert stat.pvalue > 1e-3
+
+    def test_rejects_bad_parameters(self):
+        posterior = self._posterior([0.0], [1.0])
+        with pytest.raises(ValueError):
+            build_bridge(np.zeros((1, 2)), posterior, 0.0, 1.0, index=1)
+        with pytest.raises(ValueError):
+            build_bridge(np.zeros((1, 2)), posterior, 1.0, 0.0, index=1)
 
     def test_variance_floor(self):
         q, t_end = 0.5, 0.2

@@ -12,8 +12,9 @@ from sdepf import (CondGaussModel, FilterConfig, GaussianBlock, ImportanceSpec,
                    ParticleSet, SdeModel, SplitSdeModel, TimeGrid,
                    eval_mixture, gamma_poisson_family, invchi2_family,
                    kalman_update, models, prior_proposal,
-                   propagate_gaussian_block, repair_cov, run_filter,
-                   seed_streams)
+                   propagate_coupled_split, propagate_gaussian_block,
+                   repair_cov, run_filter, seed_streams)
+from sdepf.filtering import draw_increments
 from sdepf.exceptions import IntegrationError
 from sdepf.proposals import EkfMoments, ekf_condition
 import sdepf.raoblackwell as rb
@@ -379,31 +380,41 @@ class TestRbGauss:
         assert np.all(row.var >= 0.0)
 
 
-def test_rb_gauss_prior_short_cut_is_bit_identical(monkeypatch):
-    # Under prior_proposal rb_gauss_step aliases the scaled states to the
-    # proposal states and skips Lambda; a new lambda around the same
-    # drift forces the full recursion, which must give the same bits.
+def _nonlinear_cond_model(drift_stoch=lambda x2, x3, t: -x3 + np.tanh(x2)):
     def const(value):
         return lambda x2, x3, t: np.full(x3.shape[:-1] + (1, 1), value)
 
-    model = CondGaussModel(
+    return CondGaussModel(
         dim_lin=1, dim_det=1, dim_stoch=1, lin_coeff=const(-0.5),
         lin_shift=lambda x2, x3, t: np.sin(x3) + 0.1 * x2,
         lin_noise=lambda x2, x3, t: np.cos(x3)[..., None],
         lin_diffusion=0.3, drift_det=lambda x2, x3, t: x3,
-        drift_stoch=lambda x2, x3, t: -x3 + np.tanh(x2), dispersion=1.0,
+        drift_stoch=drift_stoch, dispersion=1.0,
         diffusion=0.4, meas_matrix=np.array([[1.0]]),
         meas_cov=np.array([[0.1]]),
         initial_sampler=lambda g: g.normal(0.0, 1.0, size=2),
         init_gauss=(np.array([0.7]), np.array([[0.9]])))
+
+
+def _spy_finish_step(monkeypatch):
+    """Record (states, llr) of every rb finish_step call."""
     seen = []
+    finish_step = rb.finish_step
 
     def spy(pset, states, llr, *args, **kwargs):
-        seen.append(llr)
+        seen.append((states, llr))
         return finish_step(pset, states, llr, *args, **kwargs)
 
-    finish_step = rb.finish_step
     monkeypatch.setattr(rb, "finish_step", spy)
+    return seen
+
+
+def test_rb_gauss_prior_short_cut_is_bit_identical(monkeypatch):
+    # Under prior_proposal rb_gauss_step aliases the scaled states to the
+    # proposal states and skips Lambda; a new lambda around the same
+    # drift forces the full recursion, which must give the same bits.
+    model = _nonlinear_cond_model()
+    seen = _spy_finish_step(monkeypatch)
     stoch = model.drift_stoch
     outs = []
     for imp in (prior_proposal(model),
@@ -413,15 +424,95 @@ def test_rb_gauss_prior_short_cut_is_bit_identical(monkeypatch):
                                    TimeGrid(0.0, 0.5, 10), ess_threshold=0.0,
                                    noise_rng=np.random.default_rng(4))
         outs.append(pset)
-    for llr in seen:
+    for _, llr in seen:
         assert np.all(llr == 0.0) and not np.any(np.signbit(llr))
-    assert seen[0].tobytes() == seen[1].tobytes()
+    assert seen[0][1].tobytes() == seen[1][1].tobytes()
     short, full = outs
     for a, b in ((short.states, full.states),
                  (short.log_weights, full.log_weights),
                  (short.gauss.mean, full.gauss.mean),
                  (short.gauss.cov, full.gauss.cov)):
         assert a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+def test_rb_gauss_sampled_path_is_the_split_kernel(monkeypatch):
+    # The sampled (x2, x3) paths and Lambda of rb_gauss_step are those
+    # of propagate_coupled_split on a SplitSdeModel with the same drifts,
+    # noise and proposal, bit for bit.
+    model = _nonlinear_cond_model()
+    split = SplitSdeModel(1, 1, 1, model.drift_det, model.drift_stoch, 1.0,
+                          0.4)
+    imp = ImportanceSpec(drift=lambda x2, x3, t: -0.5 * x3 + 0.2 * x2 + 0.3,
+                         dispersion=np.array([[1.3]]))
+    grid = TimeGrid(0.0, 0.5, 10)
+    seen = _spy_finish_step(monkeypatch)
+    pset = rb.init_rb_gauss_set(model, np.random.default_rng(3), 40)
+    rb.rb_gauss_step(pset, model, imp, 0.4, grid, ess_threshold=0.0,
+                     noise_rng=np.random.default_rng(4))
+    incs = draw_increments(grid, split.diffusion, np.random.default_rng(4),
+                           pset.n)
+    ref = propagate_coupled_split(split, imp, *split.split(pset.states), grid,
+                                  incs)
+    states, llr = seen[0]
+    assert np.all(llr != 0.0)
+    expected = np.concatenate([ref.state_det, ref.state_stoch], axis=-1)
+    assert states.tobytes() == expected.tobytes()
+    assert llr.tobytes() == ref.llr.tobytes()
+
+
+def test_rb_gauss_moments_move_from_each_step_start(monkeypatch):
+    # The moment ODEs take Euler steps with F, f1 and V evaluated at the
+    # sampled states at the start of each step.  The states after j
+    # steps come from the split kernel on the first j steps (dt = 1/8
+    # keeps every grid time exact).
+    model = _nonlinear_cond_model()
+    split = SplitSdeModel(1, 1, 1, model.drift_det, model.drift_stoch, 1.0,
+                          0.4)
+    imp = ImportanceSpec(drift=lambda x2, x3, t: -0.5 * x3 + 0.3,
+                         dispersion=np.array([[1.3]]))
+    seen = []
+    condition = rb._gaussian_condition
+
+    def spy(mean, cov, *args):
+        seen.append((mean, cov))
+        return condition(mean, cov, *args)
+
+    monkeypatch.setattr(rb, "_gaussian_condition", spy)
+    grid = TimeGrid(0.0, 1.0, 8)
+    pset = rb.init_rb_gauss_set(model, np.random.default_rng(3), 40)
+    rb.rb_gauss_step(pset, model, imp, 0.4, grid, ess_threshold=0.0,
+                     noise_rng=np.random.default_rng(4))
+    incs = draw_increments(grid, split.diffusion, np.random.default_rng(4),
+                           pset.n).values
+    x2, x3 = split.split(pset.states)
+    mean, cov = pset.gauss.mean, pset.gauss.cov
+    for j in range(grid.n_steps):
+        t = j * grid.dt
+        if j:
+            res = propagate_coupled_split(split, imp, *split.split(pset.states),
+                                          TimeGrid(0.0, t, j), incs[:, :j])
+            x2, x3 = res.state_det, res.state_stoch
+        mean, cov = rb._block_step(mean, cov, model.lin_coeff(x2, x3, t),
+                                   model.lin_shift(x2, x3, t),
+                                   model.lin_noise(x2, x3, t),
+                                   model.lin_diffusion.at(t), grid.dt)
+    assert seen[0][0].tobytes() == mean.tobytes()
+    assert seen[0][1].tobytes() == cov.tobytes()
+
+
+@pytest.mark.parametrize("bootstrap", [True, False])
+def test_rb_gauss_nan_drift_names_the_step_time(bootstrap):
+    # The drift turns NaN from t = 0.5 on, in the middle of the interval
+    # [0, 1]: the error names that step's time, not the interval's end.
+    model = _nonlinear_cond_model(
+        lambda x2, x3, t: -x3 if t < 0.5 else np.full(x3.shape, np.nan))
+    imp = prior_proposal(model) if bootstrap \
+        else ImportanceSpec(drift=lambda x2, x3, t: -x3)
+    pset = rb.init_rb_gauss_set(model, np.random.default_rng(3), 20)
+    with pytest.raises(IntegrationError, match=r"drift became non-finite "
+                                               r"at t=0\.5$"):
+        rb.rb_gauss_step(pset, model, imp, 0.4, TimeGrid(0.0, 1.0, 8),
+                         noise_rng=np.random.default_rng(4))
 
 
 class TestEvalMixture:

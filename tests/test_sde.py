@@ -7,8 +7,7 @@ from hypothesis import strategies as st
 from scipy.integrate import solve_ivp
 
 from sdepf import (DiffusionSpec, SdeModel, SplitSdeModel, TimeGrid,
-                   euler_maruyama_step, integrate_ode, integrate_sde,
-                   sample_brownian_increments)
+                   integrate_sde, sample_brownian_increments)
 from sdepf.exceptions import DiffusionError, IntegrationError
 from sdepf.sde import BrownianIncrements
 
@@ -104,19 +103,24 @@ class TestBrownianIncrements:
 
 
 class TestEulerStep:
+    """integrate_sde on a one-step grid."""
+
+    @staticmethod
+    def _step(drift, dispersion, x0, dbeta):
+        model = SdeModel(len(x0), 1, drift, dispersion, 1.0)
+        return integrate_sde(model, np.array(x0), TimeGrid(0.0, 0.1, 1),
+                             BrownianIncrements(np.array([dbeta])))[-1]
+
     def test_hand_value(self):
         # [DERIVED] x + f dt + L dbeta = 1 + 2*0.1 + 3*0.5 = 2.7.
-        out = euler_maruyama_step(np.array([1.0]),
-                                  lambda x, t: np.array([2.0]),
-                                  np.array([[3.0]]), 0.0, 0.1,
-                                  np.array([0.5]))
+        out = self._step(lambda x, t: np.array([2.0]), np.array([[3.0]]),
+                         [1.0], [0.5])
         np.testing.assert_allclose(out, [2.7], rtol=0, atol=1e-15)
 
     def test_rectangular_dispersion(self):
         # 2 states driven by 1 noise channel.
-        out = euler_maruyama_step(np.zeros(2), lambda x, t: np.zeros(2),
-                                  np.array([[0.0], [1.0]]), 0.0, 0.1,
-                                  np.array([0.25]))
+        out = self._step(lambda x, t: np.zeros(2), np.array([[0.0], [1.0]]),
+                         [0.0, 0.0], [0.25])
         np.testing.assert_allclose(out, [0.0, 0.25], atol=1e-16)
 
 
@@ -211,13 +215,6 @@ class TestSplitModel:
                           lambda x1, x2, t: np.zeros(1),
                           lambda x1, x2, t: np.zeros(2),
                           1.0, 1.0)
-
-
-class TestIntegrateOde:
-    def test_forward_euler_growth(self):
-        grid = TimeGrid(0.0, 1.0, 100)
-        path = integrate_ode(lambda x, t: x, np.array([1.0]), grid)
-        assert path[-1, 0] == pytest.approx(2.7048138294215285, abs=1e-12)
 
 
 @settings(max_examples=25, deadline=None)
