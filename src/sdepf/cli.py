@@ -16,6 +16,7 @@ import configparser
 import math
 import os
 import sys
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -32,29 +33,6 @@ from .raoblackwell import (CondGaussModel, gamma_poisson_family,
                            invchi2_family)
 from .sde import SdeModel, TimeGrid, integrate_sde, sample_brownian_increments
 
-_MODEL_KINDS = ("ou", "pendulum", "epidemic", "lineargauss")
-
-_MODEL_DEFAULTS = {
-    "ou": {"rate": 1.0, "q": 0.8, "obs_var": 0.25, "x0_mean": 0.0,
-           "x0_var": 1.0},
-    "pendulum": {"a": 1.0, "q": 0.01, "obs_var": 0.25, "x1_0": 1.5,
-                 "x2_0": 0.0, "init_var": 0.25},
-    "epidemic": {"g": 1.0, "q": 0.001, "n_true": 100000.0,
-                 "sigma_true": 1.6, "beta_a": 1.0, "beta_b": 100.0,
-                 "lam0_mean": math.log(5.0), "lam0_var": 4.0},
-    "lineargauss": {"lin_rate": -0.5, "couple": 1.0, "q_eta": 0.3,
-                    "ou_rate": 1.0, "q_beta": 0.4, "obs_var": 0.1,
-                    "m0": 0.0, "p0": 1.0, "x2_0": 0.0, "x3_0": 0.0,
-                    "x3_var": 0.5},
-}
-
-_SIM_DEFAULTS = {
-    "ou": {"n_meas": 50, "dt": 0.5, "n_fine": 50},
-    "pendulum": {"n_meas": 100, "dt": 0.1, "n_fine": 100},
-    "epidemic": {"n_meas": 30, "dt": 1.0, "n_fine": 100},
-    "lineargauss": {"n_meas": 40, "dt": 0.5, "n_fine": 50},
-}
-
 _FILTER_DEFAULTS = {"method": "", "particles": 1000, "steps_per_interval": 10,
                     "ess_threshold": 0.5, "proposal": "", "dump_steps": ""}
 
@@ -64,18 +42,6 @@ _KL_DEFAULTS = {"kind": "const", "a": 1.0, "b": 0.0, "sigma2": 1.0,
                 "rate": 1.0, "horizon": 1.0, "steps": 100, "paths": 1000,
                 "x0": 0.0}
 
-_METHOD_DEFAULT = {"ou": "cd_sir", "pendulum": "cdrb_param",
-                   "epidemic": "cdrb_param", "lineargauss": "cdrb_gauss"}
-_ALLOWED_METHODS = {"ou": ("cd_sir",),
-                    "pendulum": ("cd_sir_singular", "cdrb_param"),
-                    "epidemic": ("cdrb_param",),
-                    "lineargauss": ("cdrb_gauss",)}
-_PROPOSAL_DEFAULT = {"ou": "prior", "pendulum": "bridge",
-                     "epidemic": "bridge", "lineargauss": "prior"}
-
-_METHOD_TO_INTERNAL = {"cd_sir": "sir", "cd_sir_singular": "sir_split",
-                       "cdrb_gauss": "rb_gauss", "cdrb_param": "rb_param"}
-
 
 # ---------------------------------------------------------------------------
 # configuration plumbing
@@ -83,9 +49,7 @@ _METHOD_TO_INTERNAL = {"cd_sir": "sir", "cd_sir_singular": "sir_split",
 
 def _coerce(section, key, raw, like):
     try:
-        if isinstance(like, bool):
-            return raw.strip().lower() in ("1", "true", "yes", "on")
-        if isinstance(like, int) and not isinstance(like, bool):
+        if isinstance(like, int):
             return int(raw)
         if isinstance(like, float):
             # NaN and inf would slip through every range check below.
@@ -130,9 +94,10 @@ def load_config(path, overrides):
 
     raw_model = dict(parser["model"]) if parser.has_section("model") else {}
     kind = raw_model.pop("kind", "pendulum").strip()
-    if kind not in _MODEL_KINDS:
+    if kind not in _KINDS:
         raise ConfigError("[model] kind must be one of %s, got %r"
-                          % ("/".join(_MODEL_KINDS), kind))
+                          % ("/".join(_KINDS), kind))
+    entry = _KINDS[kind]
 
     def resolve(section_name, defaults, raw=None):
         if raw is None:
@@ -145,9 +110,9 @@ def load_config(path, overrides):
             out[key] = _coerce(section_name, key, raw_val, defaults[key])
         return out
 
-    model = dict(resolve("model", _MODEL_DEFAULTS[kind], raw_model), kind=kind)
+    model = dict(resolve("model", entry.model, raw_model), kind=kind)
     filt = resolve("filter", _FILTER_DEFAULTS)
-    sim = resolve("simulate", _SIM_DEFAULTS[kind])
+    sim = resolve("simulate", entry.simulate)
     prior = resolve("prior", _PRIOR_DEFAULTS)
     kl = resolve("kl", _KL_DEFAULTS)
     io = resolve("io", {"out": ".", "measurements": "", "seed": 0,
@@ -157,17 +122,20 @@ def load_config(path, overrides):
         if overrides.get(key) is not None:
             sec[key] = overrides[key]
 
-    if not filt["method"]:
-        filt["method"] = _METHOD_DEFAULT[kind]
-    if filt["method"] not in _ALLOWED_METHODS[kind]:
-        raise ConfigError("[filter] method %r not supported for model %r "
-                          "(allowed: %s)" % (filt["method"], kind,
-                                             ", ".join(_ALLOWED_METHODS[kind])))
-    if not filt["proposal"]:
-        filt["proposal"] = _PROPOSAL_DEFAULT[kind]
-    if filt["proposal"] not in ("prior", "bridge"):
-        raise ConfigError("[filter] proposal must be prior or bridge, got %r"
-                          % filt["proposal"])
+    for key, allowed in (("method", entry.methods),
+                         ("proposal", entry.proposals)):
+        if not filt[key]:
+            filt[key] = allowed[0]
+        if filt[key] not in allowed:
+            raise ConfigError("[filter] %s %r not supported for model %r "
+                              "(allowed: %s)" % (key, filt[key], kind,
+                                                 ", ".join(allowed)))
+    for name, sec, keys in (("model", model, entry.positive),
+                            ("prior", prior, _PRIOR_DEFAULTS)):
+        for key in keys:
+            if sec[key] <= 0:
+                raise ConfigError("[%s] %s must be positive, got %r"
+                                  % (name, key, sec[key]))
 
     for key in ("particles", "steps_per_interval"):
         if filt[key] < 1:
@@ -179,9 +147,6 @@ def load_config(path, overrides):
         raise ConfigError("[io] threads must be >= 1")
     if sim["n_meas"] < 1 or sim["dt"] <= 0 or sim["n_fine"] < 1:
         raise ConfigError("[simulate] needs n_meas >= 1, dt > 0, n_fine >= 1")
-    for key in ("nu0", "s20", "alpha0", "beta0"):
-        if prior[key] <= 0:
-            raise ConfigError("[prior] %s must be positive" % key)
     if kl["kind"] not in ("const", "linear"):
         raise ConfigError("[kl] kind must be const or linear, got %r"
                           % kl["kind"])
@@ -206,7 +171,8 @@ def load_config(path, overrides):
 def _provenance(cfg, command):
     """Header lines echoing the resolved configuration (not I/O paths)."""
     lines = ["# sdepf %s" % command, "# seed = %d" % cfg["seed"]]
-    skip = {"prior": cfg["model"]["kind"] not in ("pendulum", "epidemic"),
+    # [prior] configures the conjugate family of cdrb_param.
+    skip = {"prior": "cdrb_param" not in _KINDS[cfg["model"]["kind"]].methods,
             "kl": command != "kl", "simulate": command != "simulate"}
     for sec in ("model", "filter", "simulate", "prior", "kl"):
         if skip.get(sec):
@@ -229,7 +195,10 @@ def _fmt(value):
     return "%.17g" % value
 
 
-def _write_csv(path, header_lines, columns, rows):
+def _write_csv(out, name, header_lines, columns, rows):
+    """Write out/name (making the directory out), return its path."""
+    os.makedirs(out, exist_ok=True)
+    path = os.path.join(out, name)
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         for line in header_lines:
             fh.write(line + "\n")
@@ -240,48 +209,30 @@ def _write_csv(path, header_lines, columns, rows):
 
 
 def read_measurement_series(path):
-    """Read a 't,y' CSV (comment lines allowed), validated."""
-    times, ys = [], []
-    try:
-        fh = open(path, "r", encoding="utf-8")
-    except OSError:
-        raise ConfigError("measurement file not found: %s" % path)
-    with fh:
-        header = None
-        for line in fh:
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            if header is None:
-                header = line
-                if [c.strip().lower() for c in line.split(",")][0] != "t":
-                    raise ConfigError("expected header starting with 't' in %s"
-                                      % path)
-                continue
-            parts = line.split(",")
-            if len(parts) < 2:
-                raise ConfigError("malformed measurement row %r in %s"
-                                  % (line, path))
-            try:
-                times.append(float(parts[0]))
-                ys.append(float(parts[1]))
-            except ValueError:
-                raise ConfigError("non-numeric measurement row %r in %s"
-                                  % (line, path))
-    t = np.asarray(times)
-    y = np.asarray(ys)
-    if t.size == 0:
-        raise ConfigError("no measurement rows in %s" % path)
-    if not (np.all(np.isfinite(t)) and np.all(np.isfinite(y))):
-        raise ConfigError("non-finite measurement values in %s" % path)
-    if np.any(np.diff(t) <= 0):
-        raise ConfigError("measurement times must be strictly increasing in %s"
-                          % path)
-    return t, y
+    """Read a 't,y' CSV (comment lines allowed); finite values, times
+    strictly increasing.  Raises ValueError."""
+    return models._read_series(path, ("t",))
+
+
+def _read_counts(path):
+    series = models.read_count_series(path)
+    return series.times, series.counts
 
 
 # ---------------------------------------------------------------------------
-# model construction helpers
+# model construction: filter pieces and truth simulators
+
+
+def _constant_1x1(value):
+    """Callable (..., x, t) -> value as an (..., 1, 1) array, one matrix
+    per particle of the state x."""
+
+    def matrix(*args):
+        out = np.empty(args[-2].shape[:-1] + (1, 1))
+        out[...] = value
+        return out
+
+    return matrix
 
 
 def _linear_bridge_builder(rate, q, obs_var):
@@ -290,11 +241,7 @@ def _linear_bridge_builder(rate, q, obs_var):
     def drift(x, t):
         return -rate * x
 
-    def jac(x, t):
-        out = np.empty(x.shape[:-1] + (1, 1))
-        out[...] = -rate
-        return out
-
+    jac = _constant_1x1(-rate)
     q_mat = np.array([[float(q)]])
     h_row = np.array([1.0])
 
@@ -307,32 +254,35 @@ def _linear_bridge_builder(rate, q, obs_var):
     return builder
 
 
-def _build_ou(cfg):
-    p = cfg["model"]
-    rate, q = p["rate"], p["q"]
-    if q <= 0 or p["obs_var"] <= 0 or p["x0_var"] <= 0:
-        raise ConfigError("[model] q, obs_var and x0_var must be positive")
+def _ou_model(p):
+    """The scalar OU model; its initial sampler draws N(x0_mean, x0_var)."""
+    rate = p["rate"]
     sd0 = math.sqrt(p["x0_var"])
 
     def sampler(rng):
         return np.array([p["x0_mean"] + sd0 * rng.standard_normal()])
 
-    model = SdeModel(dim_state=1, dim_noise=1,
-                     drift=lambda x, t: -rate * x,
-                     dispersion=1.0, diffusion=q, initial_sampler=sampler)
-    meas = gaussian_measurement(0, p["obs_var"])
-    if cfg["filter"]["proposal"] == "bridge":
-        proposal = _linear_bridge_builder(rate, q, p["obs_var"])
-    else:
-        proposal = prior_proposal(model)
-    return {"model": model, "meas": meas, "proposal": proposal,
-            "method": "sir", "family": None, "cond_fn": None}
+    return SdeModel(dim_state=1, dim_noise=1,
+                    drift=lambda x, t: -rate * x,
+                    dispersion=1.0, diffusion=p["q"], initial_sampler=sampler)
+
+
+def _build_ou(cfg):
+    p = cfg["model"]
+    args = dict(model=_ou_model(p), method="sir",
+                meas_model=gaussian_measurement(0, p["obs_var"]))
+    return args, lambda: _linear_bridge_builder(p["rate"], p["q"], p["obs_var"])
+
+
+def _simulate_ou(p, sim, seed):
+    model = _ou_model(p)
+    return models._euler_readings(model, model.initial_sampler, sim["dt"],
+                                  sim["n_meas"], p["obs_var"], seed,
+                                  sim["n_fine"])[:3]
 
 
 def _build_pendulum(cfg):
     p = cfg["model"]
-    if p["q"] <= 0 or p["obs_var"] <= 0 or p["init_var"] <= 0:
-        raise ConfigError("[model] q, obs_var and init_var must be positive")
     sd0 = math.sqrt(p["init_var"])
     mean0 = np.array([p["x1_0"], p["x2_0"]])
 
@@ -340,62 +290,62 @@ def _build_pendulum(cfg):
         return mean0 + sd0 * rng.standard_normal(2)
 
     model = models.pendulum_model(p["a"], p["q"], initial_sampler=sampler)
-    method = cfg["filter"]["method"]
-    if method == "cd_sir_singular":
-        meas = gaussian_measurement(0, p["obs_var"])
-        family = None
-        cond_fn = None
+    if cfg["filter"]["method"] == "cd_sir_singular":
         obs_var = p["obs_var"]
-        internal = "sir_split"
+        pieces = dict(method="sir_split",
+                      meas_model=gaussian_measurement(0, obs_var))
     else:
-        meas = None
         family = invchi2_family(cfg["prior"]["nu0"], cfg["prior"]["s20"])
-        cond_fn = lambda x_prev, x_new: x_new[..., 0]
         obs_var = lambda pset: family.point_estimate(pset.stats)
-        internal = "rb_param"
-    if cfg["filter"]["proposal"] == "bridge":
-        proposal = models.pendulum_bridge_builder(p["a"], p["q"], obs_var)
-    else:
-        proposal = prior_proposal(model)
-    return {"model": model, "meas": meas, "proposal": proposal,
-            "method": internal, "family": family, "cond_fn": cond_fn}
+        pieces = dict(method="rb_param", meas_model=None, family=family,
+                      cond_fn=lambda x_prev, x_new: x_new[..., 0])
+    return dict(pieces, model=model), \
+        lambda: models.pendulum_bridge_builder(p["a"], p["q"], obs_var)
+
+
+def _simulate_pendulum(p, sim, seed):
+    res = models.pendulum_simulate(p["a"], p["q"],
+                                   np.array([p["x1_0"], p["x2_0"]]),
+                                   sim["dt"], sim["n_meas"], p["obs_var"],
+                                   seed, n_fine=sim["n_fine"])
+    return res.times, res.states, res.ys
 
 
 def _build_epidemic(cfg):
     p = cfg["model"]
-    if p["q"] <= 0 or p["beta_a"] <= 0 or p["beta_b"] <= 0 or p["lam0_var"] <= 0:
-        raise ConfigError("[model] q, beta_a, beta_b and lam0_var must be positive")
     sampler = models.epidemic_init_sampler(p["beta_a"], p["beta_b"],
                                            p["lam0_mean"], p["lam0_var"])
     model = models.epidemic_model(p["g"], p["q"], initial_sampler=sampler)
     family = gamma_poisson_family(cfg["prior"]["alpha0"], cfg["prior"]["beta0"])
-    cond_fn = models.epidemic_theta
-    if cfg["filter"]["proposal"] == "bridge":
-        proposal = models.epidemic_bridge_builder(p["g"], p["q"], family)
-    else:
-        proposal = prior_proposal(model)
-    return {"model": model, "meas": None, "proposal": proposal,
-            "method": "rb_param", "family": family, "cond_fn": cond_fn}
+    args = dict(model=model, meas_model=None, method="rb_param",
+                family=family, cond_fn=models.epidemic_theta)
+    return args, lambda: models.epidemic_bridge_builder(p["g"], p["q"], family)
 
 
-def _lineargauss_cond_model(p, sampler):
-    lin_rate, couple = p["lin_rate"], p["couple"]
+def _simulate_epidemic(p, sim, seed):
+    lam0 = p["lam0_mean"] if p["sigma_true"] <= 0 \
+        else math.log(p["sigma_true"])
+    y0_rng = np.random.default_rng(np.random.SeedSequence((seed, 1)))
+    y0 = y0_rng.beta(p["beta_a"], p["beta_b"])
+    res = models.epidemic_simulate(p["g"], 0.0, p["n_true"], y0, lam0,
+                                   sim["n_meas"], seed, dt_meas=sim["dt"],
+                                   n_fine=sim["n_fine"])
+    return res.times, res.states, res.counts
 
-    def lin_coeff(x2, x3, t):
-        out = np.empty(x3.shape[:-1] + (1, 1))
-        out[...] = lin_rate
-        return out
 
-    def lin_noise(x2, x3, t):
-        out = np.empty(x3.shape[:-1] + (1, 1))
-        out[...] = 1.0
-        return out
+def _build_lineargauss(cfg):
+    p = cfg["model"]
+    couple = p["couple"]
+    sd3 = math.sqrt(p["x3_var"])
 
-    return CondGaussModel(
+    def sampler(rng):
+        return np.array([p["x2_0"], p["x3_0"] + sd3 * rng.standard_normal()])
+
+    model = CondGaussModel(
         dim_lin=1, dim_det=1, dim_stoch=1,
-        lin_coeff=lin_coeff,
+        lin_coeff=_constant_1x1(p["lin_rate"]),
         lin_shift=lambda x2, x3, t: couple * x3,
-        lin_noise=lin_noise,
+        lin_noise=_constant_1x1(1.0),
         lin_diffusion=p["q_eta"],
         drift_det=lambda x2, x3, t: x3,
         drift_stoch=lambda x2, x3, t: -p["ou_rate"] * x3,
@@ -403,25 +353,86 @@ def _lineargauss_cond_model(p, sampler):
         meas_matrix=np.array([[1.0]]), meas_cov=np.array([[p["obs_var"]]]),
         initial_sampler=sampler,
         init_gauss=(np.array([p["m0"]]), np.array([[p["p0"]]])))
+    return dict(model=model, meas_model=None, method="rb_gauss"), None
 
 
-def _build_lineargauss(cfg):
-    p = cfg["model"]
-    for key in ("q_eta", "q_beta", "obs_var", "p0", "x3_var"):
-        if p[key] <= 0:
-            raise ConfigError("[model] %s must be positive" % key)
-    sd3 = math.sqrt(p["x3_var"])
+def _simulate_lineargauss(p, sim, seed):
+    # The full three-state SDE: the conditioned x1 is simulated too.
+    def drift(x, t):
+        return np.stack([p["lin_rate"] * x[..., 0] + p["couple"] * x[..., 2],
+                         x[..., 2], -p["ou_rate"] * x[..., 2]], axis=-1)
 
-    def sampler(rng):
-        return np.array([p["x2_0"], p["x3_0"] + sd3 * rng.standard_normal()])
+    def x0(rng):
+        return np.array([p["m0"] + math.sqrt(p["p0"]) * rng.standard_normal(),
+                         p["x2_0"],
+                         p["x3_0"] + math.sqrt(p["x3_var"])
+                         * rng.standard_normal()])
 
-    model = _lineargauss_cond_model(p, sampler)
-    return {"model": model, "meas": None, "proposal": prior_proposal(model),
-            "method": "rb_gauss", "family": None, "cond_fn": None}
+    disp = np.array([[1.0, 0.0], [0.0, 0.0], [0.0, 1.0]])
+    model = SdeModel(dim_state=3, dim_noise=2, drift=drift,
+                     dispersion=disp,
+                     diffusion=np.diag([p["q_eta"], p["q_beta"]]))
+    return models._euler_readings(model, x0, sim["dt"], sim["n_meas"],
+                                  p["obs_var"], seed, sim["n_fine"])[:3]
 
 
-_BUILDERS = {"ou": _build_ou, "pendulum": _build_pendulum,
-             "epidemic": _build_epidemic, "lineargauss": _build_lineargauss}
+@dataclass(frozen=True)
+class _Kind:
+    """Everything the CLI knows about one [model] kind."""
+
+    model: dict             # [model] defaults
+    simulate: dict          # [simulate] defaults
+    positive: tuple         # [model] keys that must be > 0
+    methods: tuple          # allowed [filter] methods, default first
+    proposals: tuple        # allowed [filter] proposals, default first
+    build: object           # cfg -> run_filter keywords, bridge factory
+    truth: object           # (model, simulate, seed) -> times, states, readings
+    state_cols: tuple       # truth.csv columns after t
+    meas_cols: tuple = ("t", "y")             # measurement file header
+    read: object = read_measurement_series    # path -> times, readings
+    extra: tuple = None     # (summary column, pset -> value after each step)
+
+
+_KINDS = {
+    "ou": _Kind(
+        model={"rate": 1.0, "q": 0.8, "obs_var": 0.25, "x0_mean": 0.0,
+               "x0_var": 1.0},
+        simulate={"n_meas": 50, "dt": 0.5, "n_fine": 50},
+        positive=("q", "obs_var", "x0_var"),
+        methods=("cd_sir",), proposals=("prior", "bridge"),
+        build=_build_ou, truth=_simulate_ou, state_cols=("x",)),
+    "pendulum": _Kind(
+        model={"a": 1.0, "q": 0.01, "obs_var": 0.25, "x1_0": 1.5,
+               "x2_0": 0.0, "init_var": 0.25},
+        simulate={"n_meas": 100, "dt": 0.1, "n_fine": 100},
+        positive=("a", "q", "obs_var", "init_var"),
+        methods=("cdrb_param", "cd_sir_singular"),
+        proposals=("bridge", "prior"),
+        build=_build_pendulum, truth=_simulate_pendulum,
+        state_cols=("x1", "x2")),
+    "epidemic": _Kind(
+        model={"g": 1.0, "q": 0.001, "n_true": 100000.0,
+               "sigma_true": 1.6, "beta_a": 1.0, "beta_b": 100.0,
+               "lam0_mean": math.log(5.0), "lam0_var": 4.0},
+        simulate={"n_meas": 30, "dt": 1.0, "n_fine": 100},
+        positive=("g", "q", "n_true", "beta_a", "beta_b", "lam0_var"),
+        methods=("cdrb_param",), proposals=("bridge", "prior"),
+        build=_build_epidemic, truth=_simulate_epidemic,
+        state_cols=("x", "y", "lam"), meas_cols=("week", "deaths"),
+        read=_read_counts,
+        extra=("indicator", lambda pset: models.epidemic_indicator(
+            pset.states, pset.weights))),
+    "lineargauss": _Kind(
+        model={"lin_rate": -0.5, "couple": 1.0, "q_eta": 0.3,
+               "ou_rate": 1.0, "q_beta": 0.4, "obs_var": 0.1,
+               "m0": 0.0, "p0": 1.0, "x2_0": 0.0, "x3_0": 0.0,
+               "x3_var": 0.5},
+        simulate={"n_meas": 40, "dt": 0.5, "n_fine": 50},
+        positive=("q_eta", "q_beta", "obs_var", "p0", "x3_var"),
+        methods=("cdrb_gauss",), proposals=("prior",),
+        build=_build_lineargauss, truth=_simulate_lineargauss,
+        state_cols=("x1", "x2", "x3")),
+}
 
 
 # ---------------------------------------------------------------------------
@@ -430,89 +441,16 @@ _BUILDERS = {"ou": _build_ou, "pendulum": _build_pendulum,
 
 def cmd_simulate(cfg):
     """Simulate a truth path and measurements, write truth + measurement CSVs."""
-    kind = cfg["model"]["kind"]
-    p = cfg["model"]
-    sim = cfg["simulate"]
+    entry = _KINDS[cfg["model"]["kind"]]
     seed = cfg["seed"]
     out = cfg["io"]["out"]
+    times, states, readings = entry.truth(cfg["model"], cfg["simulate"], seed)
     header = _provenance(cfg, "simulate")
-
-    if kind == "pendulum":
-        res = models.pendulum_simulate(p["a"], p["q"],
-                                       np.array([p["x1_0"], p["x2_0"]]),
-                                       sim["dt"], sim["n_meas"], p["obs_var"],
-                                       seed, n_fine=sim["n_fine"])
-        truth_rows = [(t,) + tuple(s) for t, s in zip(res.times, res.states)]
-        truth_cols = ["t", "x1", "x2"]
-        meas_rows = list(zip(res.times, res.ys))
-        meas_cols = ["t", "y"]
-    elif kind == "epidemic":
-        lam0 = p["lam0_mean"] if p["sigma_true"] <= 0 \
-            else math.log(p["sigma_true"])
-        y0_rng = np.random.default_rng(np.random.SeedSequence((seed, 1)))
-        y0 = y0_rng.beta(p["beta_a"], p["beta_b"])
-        res = models.epidemic_simulate(p["g"], 0.0, p["n_true"], y0, lam0,
-                                       sim["n_meas"], seed, dt_meas=sim["dt"],
-                                       n_fine=sim["n_fine"])
-        truth_rows = [(t,) + tuple(s) for t, s in zip(res.times, res.states)]
-        truth_cols = ["t", "x", "y", "lam"]
-        meas_rows = list(zip(res.times, res.counts))
-        meas_cols = ["week", "deaths"]
-    elif kind == "ou":
-        path_ss, meas_ss = np.random.SeedSequence(seed).spawn(2)
-        model = SdeModel(dim_state=1, dim_noise=1,
-                         drift=lambda x, t: -p["rate"] * x,
-                         dispersion=1.0, diffusion=p["q"])
-        grid = TimeGrid(0.0, sim["n_meas"] * sim["dt"],
-                        sim["n_meas"] * sim["n_fine"])
-        rng = np.random.default_rng(path_ss)
-        x0 = np.array([p["x0_mean"]
-                       + math.sqrt(p["x0_var"]) * rng.standard_normal()])
-        incs = sample_brownian_increments(grid, model.diffusion, rng)
-        path = integrate_sde(model, x0, grid, incs)
-        idx = np.arange(1, sim["n_meas"] + 1) * sim["n_fine"]
-        times = grid.times[idx]
-        states = path[idx, 0]
-        ys = states + math.sqrt(p["obs_var"]) * \
-            np.random.default_rng(meas_ss).standard_normal(sim["n_meas"])
-        truth_rows = list(zip(times, states))
-        truth_cols = ["t", "x"]
-        meas_rows = list(zip(times, ys))
-        meas_cols = ["t", "y"]
-    else:  # lineargauss
-        path_ss, meas_ss = np.random.SeedSequence(seed).spawn(2)
-        rng = np.random.default_rng(path_ss)
-
-        def drift(x, t):
-            return np.stack([p["lin_rate"] * x[..., 0] + p["couple"] * x[..., 2],
-                             x[..., 2], -p["ou_rate"] * x[..., 2]], axis=-1)
-
-        disp = np.array([[1.0, 0.0], [0.0, 0.0], [0.0, 1.0]])
-        model = SdeModel(dim_state=3, dim_noise=2, drift=drift,
-                         dispersion=disp,
-                         diffusion=np.diag([p["q_eta"], p["q_beta"]]))
-        grid = TimeGrid(0.0, sim["n_meas"] * sim["dt"],
-                        sim["n_meas"] * sim["n_fine"])
-        x0 = np.array([p["m0"] + math.sqrt(p["p0"]) * rng.standard_normal(),
-                       p["x2_0"],
-                       p["x3_0"] + math.sqrt(p["x3_var"]) * rng.standard_normal()])
-        incs = sample_brownian_increments(grid, model.diffusion, rng)
-        path = integrate_sde(model, x0, grid, incs)
-        idx = np.arange(1, sim["n_meas"] + 1) * sim["n_fine"]
-        times = grid.times[idx]
-        states = path[idx]
-        ys = states[:, 0] + math.sqrt(p["obs_var"]) * \
-            np.random.default_rng(meas_ss).standard_normal(sim["n_meas"])
-        truth_rows = [(t,) + tuple(s) for t, s in zip(times, states)]
-        truth_cols = ["t", "x1", "x2", "x3"]
-        meas_rows = list(zip(times, ys))
-        meas_cols = ["t", "y"]
-
-    os.makedirs(out, exist_ok=True)
-    truth_path = _write_csv(os.path.join(out, "truth.csv"), header,
-                            truth_cols, truth_rows)
-    meas_path = _write_csv(os.path.join(out, "measurements.csv"), header,
-                           meas_cols, meas_rows)
+    truth_path = _write_csv(out, "truth.csv", header,
+                            ("t",) + entry.state_cols,
+                            [(t,) + tuple(s) for t, s in zip(times, states)])
+    meas_path = _write_csv(out, "measurements.csv", header,
+                           entry.meas_cols, list(zip(times, readings)))
     print("seed = %d" % seed)
     print("wrote %s" % truth_path)
     print("wrote %s" % meas_path)
@@ -525,81 +463,69 @@ class _RunError(Exception):
 
 def cmd_filter(cfg):
     """Run a filter over a measurement file, write summary CSVs."""
-    kind = cfg["model"]["kind"]
+    entry = _KINDS[cfg["model"]["kind"]]
     meas_path = cfg["io"]["measurements"]
     if not meas_path:
         raise ConfigError("[io] measurements is required for the filter command")
-    if kind == "epidemic":
-        if not os.path.exists(meas_path):
-            raise ConfigError("measurement file not found: %s" % meas_path)
-        series = models.read_count_series(meas_path)
-        times, ys = series.times, series.counts
-    else:
-        times, ys = read_measurement_series(meas_path)
+    times, ys = entry.read(meas_path)
     if times[0] <= 0.0:
         raise ConfigError("measurement times must be positive (the filter "
                           "starts at t = 0) in %s" % meas_path)
 
-    built = _BUILDERS[kind](cfg)
     filt = cfg["filter"]
+    args, bridge = entry.build(cfg)
+    args["proposal"] = bridge() if filt["proposal"] == "bridge" \
+        else prior_proposal(args["model"])
     fc = FilterConfig(n_particles=filt["particles"],
                       n_steps=filt["steps_per_interval"],
                       ess_threshold=filt["ess_threshold"],
                       seed=cfg["seed"], threads=cfg["threads"])
 
-    indicator = {}
+    extra = {}
     dumps = {}
     dump_steps = set(filt["dump_steps"])
 
     def callback(k, t, pset, st):
-        if kind == "epidemic":
-            indicator[k] = models.epidemic_indicator(pset.states, pset.weights)
+        if entry.extra:
+            extra[k] = entry.extra[1](pset)
         if k in dump_steps:
             dumps[k] = (pset.states.copy(), pset.log_weights.copy(),
                         None if pset.stats is None else pset.stats.copy())
 
     try:
-        result = run_filter(built["model"], built["proposal"], built["meas"],
-                            times, ys, fc, method=built["method"],
-                            family=built["family"], cond_fn=built["cond_fn"],
-                            step_callback=callback)
+        result = run_filter(times=times, ys=ys, config=fc,
+                            step_callback=callback, **args)
     except ValueError as exc:
         # The inputs were validated above, so this came from the run.
         raise _RunError(exc) from exc
 
     out = cfg["io"]["out"]
-    os.makedirs(out, exist_ok=True)
     header = _provenance(cfg, "filter")
     n_dim = result.summaries[0].mean.size
+    theta = ["theta_mean", "theta_q05", "theta_q50", "theta_q95"] \
+        if args["method"] == "rb_param" else []
     cols = ["k", "t"] + ["mean_%d" % i for i in range(n_dim)] \
         + ["var_%d" % i for i in range(n_dim)] \
-        + ["ess", "log_marginal", "resampled"]
-    has_theta = built["method"] == "rb_param"
-    if has_theta:
-        cols += ["theta_mean", "theta_q05", "theta_q50", "theta_q95"]
-    if kind == "epidemic":
-        cols += ["indicator"]
+        + ["ess", "log_marginal", "resampled"] + theta
+    if entry.extra:
+        cols += [entry.extra[0]]
     rows = []
     for s in result.summaries:
         row = [s.k, s.t] + list(s.mean) + list(s.var) \
-            + [s.ess, s.log_marginal, s.resampled]
-        if has_theta:
-            row += [s.extra["theta_mean"], s.extra["theta_q05"],
-                    s.extra["theta_q50"], s.extra["theta_q95"]]
-        if kind == "epidemic":
-            row += [indicator.get(s.k, float("nan"))]
+            + [s.ess, s.log_marginal, s.resampled] \
+            + [s.extra[c] for c in theta]
+        if entry.extra:
+            row += [extra.get(s.k, float("nan"))]
         rows.append(row)
-    summary_path = _write_csv(os.path.join(out, "summary.csv"), header, cols, rows)
+    summary_path = _write_csv(out, "summary.csv", header, cols, rows)
     print("seed = %d" % cfg["seed"])
     print("wrote %s" % summary_path)
 
-    if has_theta:
-        prow = [[s.k, s.t, s.extra["theta_mean"], s.extra["theta_q05"],
-                 s.extra["theta_q50"], s.extra["theta_q95"]]
+    if theta:
+        prow = [[s.k, s.t] + [s.extra[c] for c in theta]
                 for s in result.summaries]
-        params_path = _write_csv(os.path.join(out, "params.csv"), header,
-                                 ["k", "t", "theta_mean", "theta_q05",
-                                  "theta_q50", "theta_q95"], prow)
+        params_path = _write_csv(out, "params.csv", header, ["k", "t"] + theta,
+                                 prow)
         print("wrote %s" % params_path)
 
     for k in sorted(dumps):
@@ -610,8 +536,8 @@ def cmd_filter(cfg):
         if stats is not None:
             cols += ["stat_%d" % i for i in range(stats.shape[1])]
             rows = [r + list(stats[i]) for i, r in enumerate(rows)]
-        dump_path = _write_csv(os.path.join(out, "particles_%d.csv" % k),
-                               header, cols, rows)
+        dump_path = _write_csv(out, "particles_%d.csv" % k, header, cols,
+                               rows)
         print("wrote %s" % dump_path)
     return 0
 
@@ -644,9 +570,7 @@ def cmd_kl(cfg):
     paths = np.moveaxis(paths, 0, 1)
     est = estimate_kl(drift_p, drift_q, sigma, paths, grid)
 
-    out = cfg["io"]["out"]
-    os.makedirs(out, exist_ok=True)
-    path = _write_csv(os.path.join(out, "kl.csv"), _provenance(cfg, "kl"),
+    path = _write_csv(cfg["io"]["out"], "kl.csv", _provenance(cfg, "kl"),
                       ["estimate", "closed_form", "paths", "steps"],
                       [[est, closed, p["paths"], p["steps"]]])
     print("seed = %d" % seed)

@@ -221,7 +221,8 @@ def effective_sample_size(weights):
 
 
 def systematic_resample_indices(weights, rng):
-    """Systematic resampling: one uniform, N evenly spaced positions.
+    """Systematic resampling: one uniform, N evenly spaced positions,
+    i.e. the systematic_counts of N draws listed as ancestor indices.
 
     Args:
         weights: normalized weights (N,).
@@ -232,11 +233,7 @@ def systematic_resample_indices(weights, rng):
         floor(N w_i) or ceil(N w_i).
     """
     w = np.asarray(weights, dtype=float)
-    n = w.size
-    positions = (rng.random() + np.arange(n)) / n
-    cum = np.cumsum(w)
-    cum[-1] = max(cum[-1], 1.0)
-    return np.minimum(np.searchsorted(cum, positions), n - 1)
+    return np.repeat(np.arange(w.size), systematic_counts(w, w.size, rng))
 
 
 def systematic_counts(weights, k, rng):

@@ -23,8 +23,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .proposals import EkfMoments, build_bridge, ekf_condition, ekf_predict
-from .sde import (BrownianIncrements, SdeModel, SplitSdeModel, TimeGrid,
-                  integrate_sde)
+from .sde import (SdeModel, SplitSdeModel, TimeGrid, integrate_sde,
+                  sample_brownian_increments)
 
 __all__ = [
     "pendulum_model", "pendulum_drift", "pendulum_jacobian",
@@ -112,21 +112,34 @@ def pendulum_simulate(a, q, x0, dt_meas, n_meas, obs_var, seed, n_fine=100):
     Returns:
         PendulumSim; states holds the truth at the measurement times.
     """
-    path_ss, meas_ss = np.random.SeedSequence(seed).spawn(2)
-    path_rng = np.random.default_rng(path_ss)
-    meas_rng = np.random.default_rng(meas_ss)
     full = SdeModel(dim_state=2, dim_noise=1, drift=pendulum_drift(a),
                     dispersion=np.array([[0.0], [1.0]]), diffusion=float(q))
-    grid = TimeGrid(0.0, n_meas * dt_meas, n_meas * n_fine)
-    incs = BrownianIncrements.from_noise(
-        grid, full.diffusion, path_rng.standard_normal((grid.n_steps, 1)))
-    path = integrate_sde(full, np.asarray(x0, dtype=float), grid, incs)
-    idx = np.arange(1, n_meas + 1) * n_fine
-    states = path[idx]
-    times = grid.times[idx]
-    ys = states[:, 0] + np.sqrt(obs_var) * meas_rng.standard_normal(n_meas)
+    times, states, ys, grid, path = _euler_readings(full, x0, dt_meas, n_meas,
+                                                   obs_var, seed, n_fine)
     return PendulumSim(times=times, states=states, ys=ys,
                        path_times=grid.times, path=path)
+
+
+def _euler_readings(model, x0, dt_meas, n_meas, obs_var, seed, n_fine):
+    """Euler path of an SdeModel, n_fine steps per interval, and readings
+    of its component 0 with N(0, obs_var) errors at dt_meas, 2 dt_meas, ...
+
+    Path and readings draw from separate children of the seed.  x0 is the
+    initial state, or a function of the path generator called before the
+    path noise is drawn.  Returns (times, states, readings, grid, path).
+    """
+    path_ss, meas_ss = np.random.SeedSequence(seed).spawn(2)
+    path_rng = np.random.default_rng(path_ss)
+    if callable(x0):
+        x0 = x0(path_rng)
+    grid = TimeGrid(0.0, n_meas * dt_meas, n_meas * n_fine)
+    incs = sample_brownian_increments(grid, model.diffusion, path_rng)
+    path = integrate_sde(model, np.asarray(x0, dtype=float), grid, incs)
+    idx = np.arange(1, n_meas + 1) * n_fine
+    states = path[idx]
+    ys = states[:, 0] + np.sqrt(obs_var) \
+        * np.random.default_rng(meas_ss).standard_normal(n_meas)
+    return grid.times[idx], states, ys, grid, path
 
 
 def pendulum_bridge_builder(a, q, obs_var):
@@ -486,45 +499,64 @@ class CountSeries:
     counts: np.ndarray
 
 
+def _read_series(path, header):
+    """(times, values) float arrays from the first two columns of a CSV.
+
+    Blank and '#' lines are skipped; the header's leading names must be
+    `header`.  ValueError unless the file opens and holds at least one
+    row, every row two finite numbers, times strictly increasing.
+    """
+    times, values = [], []
+    try:
+        fh = open(path, "r", encoding="utf-8")
+    except OSError:
+        raise ValueError("measurement file not found: %s" % path)
+    with fh:
+        names = None
+        for line in fh:
+            line = line.strip()
+            if not line or line.startswith("#"):
+                continue
+            if names is None:
+                names = [c.strip().lower() for c in line.split(",")]
+                if names[:len(header)] != list(header):
+                    raise ValueError("expected header starting with %r in %s, "
+                                     "got %r" % (",".join(header), path, line))
+                continue
+            parts = line.split(",")
+            if len(parts) < 2:
+                raise ValueError("malformed row %r in %s" % (line, path))
+            try:
+                times.append(float(parts[0]))
+                values.append(float(parts[1]))
+            except ValueError:
+                raise ValueError("non-numeric row %r in %s" % (line, path))
+    if not times:
+        raise ValueError("no data rows in %s" % path)
+    times, values = np.asarray(times), np.asarray(values)
+    if not (np.all(np.isfinite(times)) and np.all(np.isfinite(values))):
+        raise ValueError("non-finite time or value in %s" % path)
+    if np.any(np.diff(times) <= 0):
+        raise ValueError("times must be strictly increasing in %s" % path)
+    return times, values
+
+
 def read_count_series(path):
     """Read a death-count CSV with header week,deaths.
 
-    Lines starting with '#' are ignored.  Weeks must be strictly
-    increasing and counts nonnegative integers.
+    Lines starting with '#' are ignored.  Weeks must be finite and
+    strictly increasing, counts nonnegative integers below 2**63.
 
     Returns:
         CountSeries.
 
     Raises:
-        ValueError: malformed rows, negative/non-integer counts, or
-            non-increasing weeks.
+        ValueError: missing file, malformed rows, non-finite values,
+            negative/non-integer counts, or non-increasing weeks.
     """
-    times, counts = [], []
-    with open(path, "r", encoding="utf-8") as fh:
-        header = None
-        for line in fh:
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            if header is None:
-                header = [c.strip().lower() for c in line.split(",")]
-                if header[:2] != ["week", "deaths"]:
-                    raise ValueError("expected header 'week,deaths', got %r"
-                                     % line)
-                continue
-            parts = line.split(",")
-            if len(parts) < 2:
-                raise ValueError("malformed count row: %r" % line)
-            week = float(parts[0])
-            d = float(parts[1])
-            if d < 0 or d != round(d):
-                raise ValueError("counts must be nonnegative integers, "
-                                 "got %r" % parts[1])
-            times.append(week)
-            counts.append(int(round(d)))
-    if not times:
-        raise ValueError("no data rows in %s" % path)
-    times = np.asarray(times, dtype=float)
-    if np.any(np.diff(times) <= 0):
-        raise ValueError("weeks must be strictly increasing")
-    return CountSeries(times=times, counts=np.asarray(counts, dtype=np.int64))
+    times, counts = _read_series(path, ("week", "deaths"))
+    bad = (counts < 0) | (counts != np.floor(counts)) | (counts >= 2.0 ** 63)
+    if np.any(bad):
+        raise ValueError("counts must be nonnegative integers, got %r in %s"
+                         % (float(counts[bad][0]), path))
+    return CountSeries(times=times, counts=counts.astype(np.int64))

@@ -151,15 +151,8 @@ def ekf_condition(moments, h_mat, r_mat, y):
     Returns:
         EkfMoments after the update.
     """
-    h = np.asarray(h_mat, dtype=float)
-    if h.ndim == 1:
-        h = h[None, :]
-    r = np.asarray(r_mat, dtype=float)
-    if r.ndim == 0:
-        r = r.reshape(1, 1)
-    mean, cov, _, _, _ = _gaussian_condition(
-        np.asarray(moments.mean, dtype=float),
-        np.asarray(moments.cov, dtype=float), h, r, y)
+    mean, cov, _, _, _ = _gaussian_condition(moments.mean, moments.cov,
+                                             h_mat, r_mat, y)
     return EkfMoments(mean, cov)
 
 

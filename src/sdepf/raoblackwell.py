@@ -153,12 +153,22 @@ def propagate_gaussian_block(block, f_mat, shift, v_mat, q_eta, t, dt):
 def _gaussian_condition(mean, cov, h_mat, r_mat, y, t=None):
     """Condition N(mean, cov) on y = H x + N(0, R).  Shared Kalman math.
 
-    t, if given, is reported when the innovation covariance is singular.
+    Inputs are taken as float arrays; a 1-d H is one row and a scalar R
+    is 1x1.  t, if given, is reported when the innovation covariance is
+    singular.
 
     Returns (mean', symmetrized cov', predicted mean, innovation
     covariance and its inverse).  Callers that need cov' clamped to a
     positive semidefinite matrix apply repair_cov themselves.
     """
+    mean = np.asarray(mean, dtype=float)
+    cov = np.asarray(cov, dtype=float)
+    h_mat = np.asarray(h_mat, dtype=float)
+    if h_mat.ndim == 1:
+        h_mat = h_mat[None, :]
+    r_mat = np.asarray(r_mat, dtype=float)
+    if r_mat.ndim == 0:
+        r_mat = r_mat.reshape(1, 1)
     pred = mat_vec(h_mat, mean)
     pht = mat_mul(cov, np.swapaxes(h_mat, -1, -2))
     s_mat = mat_mul(h_mat, pht) + r_mat
@@ -183,15 +193,8 @@ def kalman_update(block, h_mat, r_mat, y):
         (GaussianBlock, predicted measurement mean, innovation covariance);
         the last two feed the weight factor N(y; mu, S).
     """
-    h = np.asarray(h_mat, dtype=float)
-    if h.ndim == 1:
-        h = h[None, :]
-    r = np.asarray(r_mat, dtype=float)
-    if r.ndim == 0:
-        r = r.reshape(1, 1)
-    mean, cov, pred, s_mat, _ = _gaussian_condition(
-        np.asarray(block.mean, dtype=float),
-        np.asarray(block.cov, dtype=float), h, r, y)
+    mean, cov, pred, s_mat, _ = _gaussian_condition(block.mean, block.cov,
+                                                    h_mat, r_mat, y)
     return GaussianBlock(mean, repair_cov(cov)), pred, s_mat
 
 
@@ -267,11 +270,9 @@ def rb_gauss_step(pset, model, proposal, y, grid, *, ess_threshold=0.5,
     states, mean, cov, llr = _chunk_map(pset, threads, phase)
     x2s, x3s = model.split(states)
     h = model.meas_matrix(x2s, x3s) if callable(model.meas_matrix) \
-        else np.asarray(model.meas_matrix, dtype=float)
-    if h.ndim == 1:
-        h = h[None, :]
+        else model.meas_matrix
     r = model.meas_cov(x2s, x3s) if callable(model.meas_cov) \
-        else _matrix_at(model.meas_cov, grid.t1)
+        else model.meas_cov
     mean_post, cov_post, pred, s_mat, s_inv = _gaussian_condition(
         mean, cov, h, r, y, grid.t1)
     resid = np.asarray(y, dtype=float) - pred

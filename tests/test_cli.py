@@ -3,7 +3,8 @@
 Each test invokes ``python -m sdepf ...`` exactly as a user would, so the
 exit-code contract, config validation, CSV layout and reproducibility
 guarantees are all exercised from outside the package.  The exit-code
-tests that inject a failure call ``sdepf.cli.main`` in process instead.
+tests that inject a failure, and the round trip over every combination
+the model-kind table allows, call ``sdepf.cli.main`` in process instead.
 """
 
 import subprocess
@@ -289,6 +290,68 @@ out = %s
     assert cols[:8] == ["k", "t", "mean_0", "mean_1", "mean_2", "var_0",
                         "var_1", "var_2"]
     assert np.all(np.isfinite(data))
+
+
+# Truth columns of each model kind; summaries carry one mean and one
+# variance per state.
+TRUTH_COLS = {"ou": ["t", "x"], "pendulum": ["t", "x1", "x2"],
+              "epidemic": ["t", "x", "y", "lam"],
+              "lineargauss": ["t", "x1", "x2", "x3"]}
+
+ALLOWED = [(kind, method, proposal)
+           for kind, entry in sdepf.cli._KINDS.items()
+           for method in entry.methods for proposal in entry.proposals]
+
+
+@pytest.mark.parametrize("kind, method, proposal", ALLOWED)
+def test_every_allowed_combination_round_trips(tmp_path, capsys, kind,
+                                               method, proposal):
+    # Five readings, N = 200: simulate, then filter with 1 and 2 threads.
+    cfg = write_config(tmp_path / "run.ini", """
+[model]
+kind = %s
+
+[simulate]
+n_meas = 5
+n_fine = 10
+
+[filter]
+method = %s
+proposal = %s
+particles = 200
+steps_per_interval = 5
+dump_steps = 3
+
+[io]
+measurements = %s
+""" % (kind, method, proposal, tmp_path / "sim" / "measurements.csv"))
+    assert sdepf.cli.main(["simulate", "--config", cfg, "--seed", "3",
+                           "--out", str(tmp_path / "sim")]) == 0
+    _, tcols, tdata = read_output_csv(tmp_path / "sim" / "truth.csv")
+    assert tcols == TRUTH_COLS[kind] and tdata.shape[0] == 5
+    _, mcols, _ = read_output_csv(tmp_path / "sim" / "measurements.csv")
+    assert mcols == (["week", "deaths"] if kind == "epidemic" else ["t", "y"])
+
+    for threads in ("1", "2"):
+        assert sdepf.cli.main(["filter", "--config", cfg, "--seed", "3",
+                               "--threads", threads,
+                               "--out", str(tmp_path / threads)]) == 0, \
+            capsys.readouterr().err
+    n_dim = len(TRUTH_COLS[kind]) - 1
+    _, cols, data = read_output_csv(tmp_path / "1" / "summary.csv")
+    assert cols[:2 + 2 * n_dim] == ["k", "t"] \
+        + ["mean_%d" % i for i in range(n_dim)] \
+        + ["var_%d" % i for i in range(n_dim)]
+    assert ("theta_mean" in cols) == (method == "cdrb_param")
+    assert (cols[-1] == "indicator") == (kind == "epidemic")
+    assert data.shape[0] == 6
+    names = ["summary.csv", "particles_3.csv"]
+    if method == "cdrb_param":
+        names.append("params.csv")
+    assert sorted(p.name for p in (tmp_path / "1").iterdir()) == sorted(names)
+    for name in names:
+        assert (tmp_path / "1" / name).read_bytes() \
+            == (tmp_path / "2" / name).read_bytes(), name
 
 
 # ---------------------------------------------------------------------------
@@ -696,6 +759,66 @@ out = %s
     err = capsys.readouterr().err
     assert "configuration error: [%s] %s must be finite, got '%s'" \
         % (section, key, value) in err
+    assert not (tmp_path / "run").exists()
+
+
+@pytest.mark.parametrize("kind, key", [("ou", "obs_var"),
+                                       ("pendulum", "obs_var"),
+                                       ("epidemic", "q"),
+                                       ("lineargauss", "obs_var")])
+def test_simulate_non_positive_model_value_exits_2(tmp_path, capsys, kind,
+                                                   key):
+    # Every command checks [model]: before, simulate wrote NaN readings,
+    # silently ignored the value or failed with a math domain error.
+    cfg = write_config(tmp_path / "s.ini", "[model]\nkind = %s\n%s = -0.5\n"
+                       % (kind, key))
+    out = tmp_path / "sim"
+    assert sdepf.cli.main(["simulate", "--config", cfg, "--out", str(out)]) == 2
+    assert "configuration error: [model] %s must be positive, got -0.5" % key \
+        in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_lineargauss_bridge_proposal_exits_2(tmp_path, capsys):
+    meas = tmp_path / "m.csv"
+    meas.write_text("t,y\n0.5,0.1\n", encoding="utf-8")
+    cfg = write_config(tmp_path / "f.ini", """
+[model]
+kind = lineargauss
+
+[filter]
+proposal = bridge
+
+[io]
+measurements = %s
+out = %s
+""" % (meas, tmp_path / "run"))
+    assert sdepf.cli.main(["filter", "--config", cfg]) == 2
+    assert "proposal 'bridge' not supported" in capsys.readouterr().err
+    assert not (tmp_path / "run").exists()
+
+
+@pytest.mark.parametrize("rows", ["1,3\n2,inf\n", "1,3\nnan,4\n",
+                                  "1,3\n2,1e19\n"],
+                         ids=["inf_count", "nan_week", "count_over_int64"])
+def test_bad_count_value_exits_2(tmp_path, capsys, rows):
+    # An infinite count used to crash with OverflowError (exit 1), a NaN
+    # week reached the filter and failed there (exit 3).
+    meas = tmp_path / "counts.csv"
+    meas.write_text("week,deaths\n" + rows, encoding="utf-8")
+    cfg = write_config(tmp_path / "f.ini", """
+[model]
+kind = epidemic
+
+[filter]
+particles = 20
+
+[io]
+measurements = %s
+out = %s
+""" % (meas, tmp_path / "run"))
+    assert sdepf.cli.main(["filter", "--config", cfg]) == 2
+    assert "configuration error" in capsys.readouterr().err
     assert not (tmp_path / "run").exists()
 
 

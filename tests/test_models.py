@@ -340,6 +340,18 @@ class TestReadCountSeries:
         with pytest.raises(ValueError):
             read_count_series(path)
 
+    @pytest.mark.parametrize("rows", ["1,inf\n", "1,5\nnan,6\n",
+                                      "1,1e19\n"],
+                             ids=["inf_count", "nan_week", "count_over_int64"])
+    def test_rejects_non_finite_and_overflowing_values(self, tmp_path, rows):
+        path = self._write(tmp_path, "week,deaths\n" + rows)
+        with pytest.raises(ValueError):
+            read_count_series(path)
+
+    def test_missing_file_is_a_value_error(self, tmp_path):
+        with pytest.raises(ValueError, match="not found"):
+            read_count_series(tmp_path / "absent.csv")
+
     def test_rejects_short_rows(self, tmp_path):
         path = self._write(tmp_path, "week,deaths\n1\n")
         with pytest.raises(ValueError):
