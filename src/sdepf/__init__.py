@@ -26,7 +26,7 @@ from .raoblackwell import (CondGaussModel, ConjugateFamily, GaussianBlock,
                            init_rb_gauss_set, invchi2_family, kalman_update,
                            propagate_gaussian_block, rb_gauss_step,
                            rb_param_step, repair_cov)
-from .proposals import EkfMoments, build_bridge, ekf_condition, ekf_predict
+from .proposals import build_bridge, ekf_condition, ekf_predict
 from . import models
 
 __version__ = "0.1.0"
@@ -34,7 +34,7 @@ __version__ = "0.1.0"
 __all__ = [
     "BrownianIncrements", "CondGaussModel", "ConfigError",
     "ConjugateFamily", "CoupledResult", "DegeneracyError", "DiffusionError",
-    "DiffusionSpec", "EkfMoments", "FilterConfig", "FilterResult",
+    "DiffusionSpec", "FilterConfig", "FilterResult",
     "GaussianBlock", "ImportanceSpec", "IntegrationError", "MeasurementModel",
     "ParticleSet", "SdeModel", "SdepfError", "SingularMatrixError",
     "SplitCoupledResult", "SplitSdeModel", "StepStats", "SummaryRow",

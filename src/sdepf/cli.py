@@ -28,15 +28,15 @@ from .filtering import (FilterConfig, gaussian_measurement, run_filter,
                         systematic_counts, systematic_resample_indices)
 from .girsanov import (ImportanceSpec, estimate_kl, prior_proposal,
                        propagate_coupled, propagate_coupled_split)
-from .proposals import EkfMoments, build_bridge, ekf_condition, ekf_predict
-from .raoblackwell import (CondGaussModel, gamma_poisson_family,
-                           invchi2_family)
+from .proposals import build_bridge, ekf_condition, ekf_predict
+from .raoblackwell import (CondGaussModel, GaussianBlock,
+                           gamma_poisson_family, invchi2_family)
 from .sde import SdeModel, TimeGrid, integrate_sde, sample_brownian_increments
 
 _FILTER_DEFAULTS = {"method": "", "particles": 1000, "steps_per_interval": 10,
                     "ess_threshold": 0.5, "proposal": "", "dump_steps": ""}
 
-_PRIOR_DEFAULTS = {"nu0": 2.0, "s20": 0.2, "alpha0": 10.0, "beta0": 0.001}
+_PRIOR_DEFAULTS = {"nu0": 2.0, "s20": 0.2, "alpha0": 10.0, "beta0": 1e-4}
 
 _KL_DEFAULTS = {"kind": "const", "a": 1.0, "b": 0.0, "sigma2": 1.0,
                 "rate": 1.0, "horizon": 1.0, "steps": 100, "paths": 1000,
@@ -246,10 +246,10 @@ def _linear_bridge_builder(rate, q, obs_var):
     h_row = np.array([1.0])
 
     def builder(pset, grid, y):
-        mom = ekf_predict(EkfMoments.from_states(pset.states), drift, jac,
+        mom = ekf_predict(GaussianBlock.from_states(pset.states), drift, jac,
                           q_mat, grid)
         mom = ekf_condition(mom, h_row, float(obs_var), y)
-        return build_bridge(pset.states, mom, grid.span, q, 0)
+        return build_bridge(pset.states, mom, grid.span, 0)
 
     return builder
 
@@ -671,7 +671,7 @@ def cmd_selftest(cfg):
     f_lin = np.array([[0.0, 1.0], [-2.0, -0.3]])
     q_lin = np.diag([0.0, 0.5])
     grid_e = TimeGrid(0.0, 1.0, 10)
-    pred = ekf_predict(EkfMoments.from_states(np.ones((1, 2))),
+    pred = ekf_predict(GaussianBlock.from_states(np.ones((1, 2))),
                        lambda x, t: x @ f_lin.T,
                        lambda x, t: np.broadcast_to(f_lin, x.shape + (2,)),
                        q_lin, grid_e)
@@ -682,6 +682,21 @@ def cmd_selftest(cfg):
     checks.append(("EKF prediction is the Euler chain's PSD covariance",
                    np.allclose(pred.cov[0], p_ref, rtol=1e-12, atol=0.0)
                    and np.linalg.eigvalsh(pred.cov[0]).min() >= 0.0))
+
+    # A bridge's scaled endpoint is its target m_k plus the summed model
+    # noise, N(m_k, q dt), whatever the model's drift.
+    n_b, m_b, var_b = 20000, 1.5, 0.5 * grid_e.span
+    model_b = SdeModel(1, 1, lambda x, t: -x, 1.0, 0.5)
+    x_b = np.zeros((n_b, 1))
+    imp_b = build_bridge(x_b, GaussianBlock.from_states(x_b + m_b),
+                         grid_e.span, 0)
+    incs_b = sample_brownian_increments(grid_e, model_b.diffusion,
+                                        np.random.default_rng(3), n_paths=n_b)
+    end = propagate_coupled(model_b, imp_b, x_b, grid_e, incs_b).state
+    z_mean = (end.mean() - m_b) / math.sqrt(var_b / n_b)
+    z_var = (end.var() / var_b - 1.0) / math.sqrt(2.0 / n_b)
+    checks.append(("bridge endpoint has mean m_k and variance q dt",
+                   abs(z_mean) < 4.0 and abs(z_var) < 4.0))
 
     failed = 0
     for name, passed in checks:

@@ -22,7 +22,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .proposals import EkfMoments, build_bridge, ekf_condition, ekf_predict
+from .proposals import build_bridge, ekf_condition, ekf_predict
+from .raoblackwell import GaussianBlock
 from .sde import (SdeModel, SplitSdeModel, TimeGrid, integrate_sde,
                   sample_brownian_increments)
 
@@ -160,14 +161,11 @@ def pendulum_bridge_builder(a, q, obs_var):
     h_row = np.array([1.0, 0.0])
 
     def builder(pset, grid, y):
-        mom = ekf_predict(EkfMoments.from_states(pset.states), drift, jac,
+        mom = ekf_predict(GaussianBlock.from_states(pset.states), drift, jac,
                           q_mat, grid)
         r = obs_var(pset) if callable(obs_var) else obs_var
-        r = np.asarray(r, dtype=float)
-        if r.ndim == 1:
-            r = r[:, None, None]
         mom = ekf_condition(mom, h_row, r, y)
-        return build_bridge(pset.states, mom, grid.span, q, 1)
+        return build_bridge(pset.states, mom, grid.span, 1)
 
     return builder
 
@@ -356,7 +354,9 @@ def epidemic_bridge_builder(g, q, family):
     Linearizes the count mean around each particle: d ~= N (c - x - y)
     with c the particle's current x + y and N its posterior-mean
     population size, conditions the EKF prediction on that pseudo
-    measurement (variance d + 1), and bridges the log rate component.
+    measurement, and bridges the log rate component.  The pseudo
+    measurement's variance d + 1 + d^2 / alpha (alpha the particle's
+    Gamma shape) is the count's negative binomial predictive variance.
 
     The linearization is evaluated at states clipped into the model's
     box with the log rate capped at EKF_LOG_RATE_CAP, so particles far
@@ -399,16 +399,17 @@ def epidemic_bridge_builder(g, q, family):
 
         n_hat = family.point_estimate(pset.stats)
         c = pset.states[:, 0] + pset.states[:, 1]
-        mom = ekf_predict(EkfMoments.from_states(pset.states), drift, jac,
+        mom = ekf_predict(GaussianBlock.from_states(pset.states), drift, jac,
                           q_mat, grid)
         n = pset.states.shape[0]
         h = np.zeros((n, 1, 3))
         h[:, 0, 0] = -n_hat
         h[:, 0, 1] = -n_hat
-        r = np.full((n, 1, 1), float(d) + 1.0)
-        y_eff = (float(d) - n_hat * c)[:, None]
+        d = float(d)
+        r = d + 1.0 + d * d / pset.stats[:, 0]
+        y_eff = (d - n_hat * c)[:, None]
         mom = ekf_condition(mom, h, r, y_eff)
-        return build_bridge(pset.states, mom, grid.span, q, 2)
+        return build_bridge(pset.states, mom, grid.span, 2)
 
     return builder
 

@@ -5,46 +5,28 @@ Kalman prediction from the particle's current state (a Dirac, so the
 initial covariance is zero), carry the covariance of the linearized
 Euler chain as a square-root factor so that it stays positive
 semidefinite, condition the predicted Gaussian on the upcoming
-measurement, and turn the resulting endpoint marginal of the
-noise-driven component into a constant-coefficient bridge proposal
+measurement, and steer the noise-driven component toward the
+conditioned mean m_k with the constant drift
 
-    g = (m_k - x_prev) / dt,        B = sqrt(P_k / (q dt)),
+    g = (m_k - x_prev) / dt
 
-whose Euler endpoint has exactly mean m_k and variance P_k.  The
+and the model's own dispersion L.  The filter weights and reports the
+scaled process ds* = L B^-1 ds, which always has dispersion L, so a
+proposal dispersion B would change only the drift s* sees; with B = L
+the endpoint of s* is m_k plus the model noise, N(m_k, q dt) per
+particle.  The EKF therefore supplies only the target mean.  The
 Girsanov weights are exact for any such proposal, so the EKF only has
 to be good and cheap: from a Dirac start it runs no eigendecomposition.
 """
-
-from dataclasses import dataclass
 
 import numpy as np
 
 from ._linalg import symmetrize
 from .exceptions import IntegrationError
 from .girsanov import ImportanceSpec
-from .raoblackwell import _gaussian_condition
+from .raoblackwell import GaussianBlock, _gaussian_condition
 
-__all__ = ["EkfMoments", "ekf_predict", "ekf_condition", "build_bridge"]
-
-
-@dataclass
-class EkfMoments:
-    """Mean and covariance of an extended Kalman prediction.
-
-    Attributes:
-        mean: (..., n).
-        cov: (..., n, n); starts at zero when predicting from a particle.
-    """
-
-    mean: np.ndarray
-    cov: np.ndarray
-
-    @classmethod
-    def from_states(cls, states):
-        """Dirac moments at the given states (zero covariance)."""
-        states = np.asarray(states, dtype=float)
-        n = states.shape[-1]
-        return cls(states.copy(), np.zeros(states.shape[:-1] + (n, n)))
+__all__ = ["ekf_predict", "ekf_condition", "build_bridge"]
 
 
 def ekf_predict(moments, drift, jacobian, q_mat, grid):
@@ -66,7 +48,7 @@ def ekf_predict(moments, drift, jacobian, q_mat, grid):
     however the particles are batched.
 
     Args:
-        moments: EkfMoments at grid.t0.  A nonzero initial covariance is
+        moments: GaussianBlock at grid.t0.  A nonzero initial covariance is
             factored by an eigendecomposition whose negative eigenvalues
             count as zero.
         drift: callable (x, t) -> (..., n), the full-state drift.
@@ -77,7 +59,7 @@ def ekf_predict(moments, drift, jacobian, q_mat, grid):
         grid: TimeGrid.
 
     Returns:
-        EkfMoments at grid.t1 with symmetrized covariance.
+        GaussianBlock at grid.t1 with symmetrized covariance.
 
     Raises:
         IntegrationError: if q_mat, the drift or the moments are not
@@ -118,7 +100,7 @@ def ekf_predict(moments, drift, jacobian, q_mat, grid):
         cov = symmetrize(np.matmul(fac, np.swapaxes(fac, -1, -2)))
     if not (np.all(np.isfinite(mean)) and np.all(np.isfinite(cov))):
         raise IntegrationError("EKF moments non-finite at t=%g" % grid.t1)
-    return EkfMoments(mean, cov)
+    return GaussianBlock(mean, cov)
 
 
 def _psd_factor(cov):
@@ -139,61 +121,51 @@ def ekf_condition(moments, h_mat, r_mat, y):
     implementation) and returns its symmetrized covariance.  Unlike
     kalman_update it skips repair_cov: ekf_predict's covariance is
     positive semidefinite by construction, the Kalman update keeps it
-    so up to rounding, and build_bridge floors the one variance the
-    proposal reads (VAR_FLOOR).
+    so up to rounding, and build_bridge reads only the mean.
 
     Args:
-        moments: EkfMoments before the update.
+        moments: GaussianBlock before the update.
         h_mat: (..., m, n) measurement matrix (1-d input treated as one row).
-        r_mat: (..., m, m) noise covariance; scalars promoted.
+        r_mat: (..., m, m) noise covariance; a scalar is 1x1 and a 1-d
+            array one variance per particle (m = 1).
         y: measurement value(s).
 
     Returns:
-        EkfMoments after the update.
+        GaussianBlock after the update; its mean is the bridge target.
     """
     mean, cov, _, _, _ = _gaussian_condition(moments.mean, moments.cov,
                                              h_mat, r_mat, y)
-    return EkfMoments(mean, cov)
+    return GaussianBlock(mean, cov)
 
 
-# Relative floor on the target variance, in units of the prior endpoint
-# variance q * dt; keeps B away from zero when the EKF collapses.
-VAR_FLOOR = 1e-8
-
-
-def build_bridge(x_prev, posterior, dt, q, index):
-    """Importance spec driving one component toward a Gaussian endpoint.
+def build_bridge(x_prev, posterior, dt, index):
+    """Importance spec driving one component toward a Gaussian mean.
 
     Args:
         x_prev: particle states at the interval start, (..., n).
-        posterior: EkfMoments conditioned on the upcoming measurement.
+        posterior: GaussianBlock conditioned on the upcoming measurement;
+            only its mean is read.
         dt: interval length.
-        q: diffusion coefficient of the bridged component.
         index: which state component the Brownian noise drives.
 
     Returns:
         ImportanceSpec whose drift is the constant (m_k - x_prev) / dt per
-        particle and whose dispersion is sqrt(P_k / (q dt)); simulating it
-        with Euler steps reproduces mean m_k and variance P_k at the
-        interval end exactly.  P_k is floored at VAR_FLOOR * q * dt.
+        particle and whose dispersion is the model's own (None).  The
+        Euler endpoint of the bridged component is m_k plus the summed
+        model noise, so N(m_k, q dt) with q the component's diffusion.
 
     Raises:
-        ValueError: unless dt > 0 and q > 0.
+        ValueError: unless dt > 0.
     """
-    if dt <= 0 or q <= 0:
-        raise ValueError("bridge needs dt > 0 and q > 0")
-    dt, q = float(dt), float(q)
+    if not dt > 0:
+        raise ValueError("bridge needs dt > 0")
     x_prev = np.asarray(x_prev, dtype=float)
     m_k = np.asarray(posterior.mean, dtype=float)[..., index]
-    p_k = np.asarray(posterior.cov, dtype=float)[..., index, index]
-    p_k = np.maximum(p_k, VAR_FLOOR * q * dt)
-
-    g_const = (m_k - x_prev[..., index]) / dt
-    b_mat = np.sqrt(p_k / (q * dt))[..., None, None]
+    g_const = (m_k - x_prev[..., index]) / float(dt)
 
     def drift(*args):
         # Last positional is t, second to last the stochastic block state.
         block = args[-2]
         return np.broadcast_to(g_const[..., None], np.shape(block))
 
-    return ImportanceSpec(drift=drift, dispersion=b_mat)
+    return ImportanceSpec(drift=drift, dispersion=None)

@@ -49,7 +49,7 @@ PCN_RHO = 0.9
 
 @dataclass
 class GaussianBlock:
-    """Conditional Gaussian moments, batched over particles.
+    """Gaussian moments (a conditional block or an EKF prediction).
 
     Attributes:
         mean: (..., p).
@@ -58,6 +58,13 @@ class GaussianBlock:
 
     mean: np.ndarray
     cov: np.ndarray
+
+    @classmethod
+    def from_states(cls, states):
+        """Dirac moments at the given states (zero covariance)."""
+        states = np.asarray(states, dtype=float)
+        n = states.shape[-1]
+        return cls(states.copy(), np.zeros(states.shape[:-1] + (n, n)))
 
 
 @dataclass
@@ -153,9 +160,9 @@ def propagate_gaussian_block(block, f_mat, shift, v_mat, q_eta, t, dt):
 def _gaussian_condition(mean, cov, h_mat, r_mat, y, t=None):
     """Condition N(mean, cov) on y = H x + N(0, R).  Shared Kalman math.
 
-    Inputs are taken as float arrays; a 1-d H is one row and a scalar R
-    is 1x1.  t, if given, is reported when the innovation covariance is
-    singular.
+    Inputs are taken as float arrays; a 1-d H is one row, a scalar R is
+    1x1 and a 1-d R holds one variance per particle (m = 1).  t, if
+    given, is reported when the innovation covariance is singular.
 
     Returns (mean', symmetrized cov', predicted mean, innovation
     covariance and its inverse).  Callers that need cov' clamped to a
@@ -169,6 +176,8 @@ def _gaussian_condition(mean, cov, h_mat, r_mat, y, t=None):
     r_mat = np.asarray(r_mat, dtype=float)
     if r_mat.ndim == 0:
         r_mat = r_mat.reshape(1, 1)
+    elif r_mat.ndim == 1:
+        r_mat = r_mat[:, None, None]
     pred = mat_vec(h_mat, mean)
     pht = mat_mul(cov, np.swapaxes(h_mat, -1, -2))
     s_mat = mat_mul(h_mat, pht) + r_mat
@@ -186,7 +195,9 @@ def kalman_update(block, h_mat, r_mat, y):
     Args:
         block: GaussianBlock prior to the update.
         h_mat: measurement matrix (..., m, p).
-        r_mat: measurement noise covariance (..., m, m); scalars allowed.
+        r_mat: measurement noise covariance (..., m, m).  A scalar is
+            1x1, and a 1-d array (N,) holds one variance per particle
+            for a scalar measurement (m = 1), not a diagonal.
         y: measurement, scalar or (..., m).
 
     Returns:

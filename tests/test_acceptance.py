@@ -341,7 +341,7 @@ def test_07_epidemic_experiment(capsys):
     # prior standard deviations below the truth.  Under it exact
     # inference crosses the indicator at week 1 on 6 of the 20 seeds,
     # whose peaks are 3.4-5.3 weeks later (see TestEpidemicWeekOne), and
-    # this filter with 20 move sweeps scores only 6/20, 6/20 and 5/20.
+    # this filter with 20 move sweeps scores only 6/20, 4/20 and 4/20.
     alpha0 = 10.0
     beta0 = alpha0 / n_true
     n_meas, n_particles, n_seeds = 30, 1000, 20

@@ -3,10 +3,9 @@
 import numpy as np
 import pytest
 
-from sdepf import FilterConfig, gamma_poisson_family
+from sdepf import FilterConfig, GaussianBlock, gamma_poisson_family
 from sdepf.filtering import ParticleSet
-from sdepf.proposals import (EkfMoments, build_bridge, ekf_condition,
-                             ekf_predict)
+from sdepf.proposals import build_bridge, ekf_condition, ekf_predict
 from sdepf.models import (CountSeries, EKF_LOG_RATE_CAP, epidemic_drift,
                           epidemic_indicator, epidemic_init_sampler,
                           epidemic_jacobian, epidemic_bridge_builder,
@@ -82,11 +81,15 @@ class TestPendulumPieces:
         states = np.tile([1.4, 0.1], (6, 1))
         pset = ParticleSet(states, np.full(6, -np.log(6.0)), 0)
         imp = builder(pset, TimeGrid(0.0, 0.1, 5), 1.3)
-        b = np.asarray(imp.dispersion)
-        assert b.shape == (6, 1, 1)
-        assert np.all(b > 0.0)
+        assert imp.dispersion is None
         g = imp.drift(None, states[:, 1:], 0.0)
+        assert g.shape == (6, 1)
         assert np.all(np.isfinite(g))
+        # A per-particle R is one variance per particle: the same as the
+        # constant 0.25.
+        same = pendulum_bridge_builder(1.0, 0.01, 0.25)(
+            pset, TimeGrid(0.0, 0.1, 5), 1.3)
+        assert g.tobytes() == same.drift(None, states[:, 1:], 0.0).tobytes()
 
 
 class TestEpidemicPieces:
@@ -209,14 +212,18 @@ class TestEpidemicBridge:
                            stats=fam.init_stats(4)), fam
 
     def test_returns_positive_dispersion(self):
+        # The bridge keeps the model's dispersion and moves the log rate
+        # toward the count: down for 120 and up for 2000, either side of
+        # the free-running forecast N theta, about 1e4 * 0.06 = 600.
         pset, fam = self._pset(np.log(1.6))
         builder = epidemic_bridge_builder(1.0, 0.001, fam)
-        imp = builder(pset, TimeGrid(0.0, 1.0, 10), 120)
-        b = np.asarray(imp.dispersion)
-        assert b.shape == (4, 1, 1)
-        assert np.all(b > 0.0)
-        g = imp.drift(None, None, pset.states[:, 2:], 0.0)
-        assert np.all(np.isfinite(g))
+        for count, sign in ((120, -1.0), (2000, 1.0)):
+            imp = builder(pset, TimeGrid(0.0, 1.0, 10), count)
+            assert imp.dispersion is None
+            g = imp.drift(None, None, pset.states[:, 2:], 0.0)
+            assert g.shape == (4, 1)
+            assert np.all(np.isfinite(g))
+            assert np.all(sign * g > 0.0)
 
     def test_extreme_log_rate_is_tamed(self):
         # Without the linearization cap a log rate of 15 overflows the
@@ -225,7 +232,7 @@ class TestEpidemicBridge:
         assert 15.0 > EKF_LOG_RATE_CAP
         builder = epidemic_bridge_builder(1.0, 0.001, fam)
         imp = builder(pset, TimeGrid(0.0, 1.0, 10), 5)
-        assert np.all(np.isfinite(np.asarray(imp.dispersion)))
+        assert imp.dispersion is None
         g = imp.drift(None, None, pset.states[:, 2:], 0.0)
         assert np.all(np.isfinite(g))
 
@@ -250,7 +257,7 @@ class TestEpidemicBridge:
             return out
 
         drift, jac = epidemic_drift(1.0), epidemic_jacobian(1.0)
-        mom = ekf_predict(EkfMoments.from_states(states),
+        mom = ekf_predict(GaussianBlock.from_states(states),
                           lambda x, t: drift(boxed(x), t),
                           lambda x, t: jac(boxed(x), t),
                           np.diag([0.0, 0.0, 0.001]), grid)
@@ -258,10 +265,11 @@ class TestEpidemicBridge:
         h = np.zeros((6, 1, 3))
         h[:, 0, :2] = -n_hat[:, None]
         y_eff = (40.0 - n_hat * (states[:, 0] + states[:, 1]))[:, None]
-        mom = ekf_condition(mom, h, np.full((6, 1, 1), 41.0), y_eff)
-        ref = build_bridge(states, mom, 1.0, 0.001, 2)
-        assert np.asarray(imp.dispersion).tobytes() == \
-            np.asarray(ref.dispersion).tobytes()
+        # Negative binomial predictive variance d + 1 + d^2 / alpha.
+        r = np.full((6, 1, 1), 41.0 + 1600.0 / 10.0)
+        mom = ekf_condition(mom, h, r, y_eff)
+        ref = build_bridge(states, mom, 1.0, 2)
+        assert imp.dispersion is None and ref.dispersion is None
         g = imp.drift(None, states[:, 2:], 0.0)
         assert g.tobytes() == ref.drift(None, states[:, 2:], 0.0).tobytes()
 

@@ -7,18 +7,20 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 from scipy import stats as sps
 
-from sdepf import (EkfMoments, ImportanceSpec, SdeModel, TimeGrid,
-                   build_bridge, ekf_condition, ekf_predict, propagate_coupled,
-                   sample_brownian_increments)
+from sdepf import (FilterConfig, GaussianBlock, ImportanceSpec, SdeModel,
+                   TimeGrid, build_bridge, cli, ekf_condition, ekf_predict,
+                   gaussian_measurement, prior_proposal, propagate_coupled,
+                   run_filter, sample_brownian_increments)
 from sdepf.exceptions import IntegrationError
 from sdepf.models import pendulum_drift, pendulum_jacobian
-from sdepf.proposals import VAR_FLOOR
+
+from oracles import chain_kalman_filter
 
 
 class TestEkfPredict:
     def test_dirac_start_gains_process_noise(self):
         # [TRIVIAL] Zero drift: after n steps the covariance is q * T.
-        moments = EkfMoments.from_states(np.array([[1.0, -2.0]]))
+        moments = GaussianBlock.from_states(np.array([[1.0, -2.0]]))
         np.testing.assert_array_equal(moments.cov, np.zeros((1, 2, 2)))
         q = np.diag([0.0, 0.3])
         grid = TimeGrid(0.0, 0.5, 10)
@@ -31,7 +33,7 @@ class TestEkfPredict:
     def test_linear_model_matches_manual_recursion(self):
         a = -0.7
         grid = TimeGrid(0.0, 1.0, 8)
-        moments = EkfMoments(np.array([[2.0]]), np.array([[[0.5]]]))
+        moments = GaussianBlock(np.array([[2.0]]), np.array([[[0.5]]]))
         out = ekf_predict(moments,
                           lambda x, t: a * x,
                           lambda x, t: np.full(x.shape + (1,), a),
@@ -46,8 +48,8 @@ class TestEkfPredict:
     @staticmethod
     def _linear_predict(f_mat, q_mat, p0, grid):
         n = f_mat.shape[0]
-        return ekf_predict(EkfMoments(np.ones((1, n)), np.asarray(p0)[None]),
-                           lambda x, t: x @ f_mat.T,
+        start = GaussianBlock(np.ones((1, n)), np.asarray(p0)[None])
+        return ekf_predict(start, lambda x, t: x @ f_mat.T,
                            lambda x, t: np.broadcast_to(f_mat, x.shape + (n,)),
                            q_mat, grid)
 
@@ -121,9 +123,9 @@ class TestEkfPredict:
         states = np.random.default_rng(3).normal(size=(7, 2))
 
         def predict(x):
-            return ekf_predict(EkfMoments.from_states(x), pendulum_drift(1.0),
-                               pendulum_jacobian(1.0), np.diag([0.0, 0.4]),
-                               TimeGrid(0.0, 0.3, 10))
+            return ekf_predict(GaussianBlock.from_states(x),
+                               pendulum_drift(1.0), pendulum_jacobian(1.0),
+                               np.diag([0.0, 0.4]), TimeGrid(0.0, 0.3, 10))
 
         whole = predict(states)
         for sl in (slice(0, 3), slice(3, 7), slice(5, 6)):
@@ -132,7 +134,7 @@ class TestEkfPredict:
             assert part.mean.tobytes() == whole.mean[sl].tobytes()
 
     def test_nonfinite_drift_raises(self):
-        moments = EkfMoments.from_states(np.array([[1.0]]))
+        moments = GaussianBlock.from_states(np.array([[1.0]]))
         with pytest.raises(IntegrationError):
             ekf_predict(moments, lambda x, t: x * np.nan,
                         lambda x, t: np.zeros(x.shape + (1,)),
@@ -141,14 +143,14 @@ class TestEkfPredict:
     def test_nonfinite_process_noise_raises(self):
         # A NaN in Q must not vanish with the eigenvalues it spoils.
         with pytest.raises(IntegrationError):
-            ekf_predict(EkfMoments.from_states(np.array([[1.0, 0.0]])),
+            ekf_predict(GaussianBlock.from_states(np.array([[1.0, 0.0]])),
                         lambda x, t: np.zeros_like(x),
                         lambda x, t: np.zeros(x.shape + (2,)),
                         np.diag([0.0, np.nan]), TimeGrid(0.0, 1.0, 2))
 
     def test_batched_over_particles(self):
         states = np.array([[0.0], [1.0], [2.0]])
-        out = ekf_predict(EkfMoments.from_states(states),
+        out = ekf_predict(GaussianBlock.from_states(states),
                           lambda x, t: -x,
                           lambda x, t: np.full(x.shape + (1,), -1.0),
                           np.array([[0.2]]), TimeGrid(0.0, 0.4, 4))
@@ -161,14 +163,14 @@ class TestEkfPredict:
 
 class TestEkfCondition:
     def test_scalar_promotion_and_shrinkage(self):
-        moments = EkfMoments(np.array([[1.0]]), np.array([[[2.0]]]))
+        moments = GaussianBlock(np.array([[1.0]]), np.array([[[2.0]]]))
         out = ekf_condition(moments, np.array([1.0]), 0.5, 0.0)
         # [DERIVED] S = 2.5, gain = 0.8: m' = 0.2, P' = 0.4.
         assert out.mean[0, 0] == pytest.approx(0.2, rel=1e-14)
         assert out.cov[0, 0, 0] == pytest.approx(0.4, rel=1e-14)
 
     def test_partial_observation_of_two_states(self):
-        moments = EkfMoments(np.array([[1.0, 0.0]]),
+        moments = GaussianBlock(np.array([[1.0, 0.0]]),
                              np.array([np.diag([1.0, 1.0])]))
         out = ekf_condition(moments, np.array([[1.0, 0.0]]), 1.0, 3.0)
         assert out.mean[0, 0] == pytest.approx(2.0, rel=1e-14)
@@ -182,7 +184,7 @@ class TestEkfCondition:
         cov = np.matmul(a, np.swapaxes(a, -1, -2))
         cov = 0.5 * (cov + np.swapaxes(cov, -1, -2))
         h = rng.normal(size=(50, 2, 3))
-        out = ekf_condition(EkfMoments(rng.normal(size=(50, 3)), cov), h,
+        out = ekf_condition(GaussianBlock(rng.normal(size=(50, 3)), cov), h,
                             np.eye(2) * 0.3, rng.normal(size=(50, 2)))
         np.testing.assert_array_equal(out.cov, np.swapaxes(out.cov, -1, -2))
 
@@ -194,11 +196,23 @@ class TestBuildBridge:
         mean[:, 1] = means
         cov = np.zeros((n, 2, 2))
         cov[:, 1, 1] = varis
-        return EkfMoments(mean, cov)
+        return GaussianBlock(mean, cov)
+
+    @staticmethod
+    def _scaled_endpoint(x_prev, imp, q, t_end, n_steps, rng):
+        # The OU model -x: the target drift differs from the bridge's, so
+        # Lambda is nonzero, but s* still moves by g dt + dbeta.
+        model = SdeModel(1, 1, lambda x, t: -x, 1.0, q)
+        grid = TimeGrid(0.0, t_end, n_steps)
+        incs = sample_brownian_increments(grid, model.diffusion, rng,
+                                          n_paths=x_prev.shape[0])
+        res = propagate_coupled(model, imp, x_prev[:, 1:], grid, incs)
+        assert np.all(np.isfinite(res.llr))
+        return res.state[:, 0], incs.values.sum(axis=(1, 2))
 
     def test_endpoint_identity_per_path(self):
-        # Simulating the bridge must land exactly on m + B * beta(T),
-        # path by path, and in law on N(m, P).
+        # The scaled process s*, which the filter weights and reports,
+        # must land exactly on m + beta(T), path by path.
         q, t_end, n_steps = 0.8, 0.5, 7
         n = 512
         rng = np.random.default_rng(9)
@@ -206,56 +220,36 @@ class TestBuildBridge:
         x_prev[:, 1] = rng.normal(size=n)
         m_k = rng.normal(size=n)
         p_k = 0.3 + 0.1 * rng.random(n)
-        imp = build_bridge(x_prev, self._posterior(m_k, p_k), t_end, q,
-                           index=1)
-        model = SdeModel(1, 1, lambda x, t: np.zeros_like(x), 1.0, q)
-        grid = TimeGrid(0.0, t_end, n_steps)
-        incs = sample_brownian_increments(grid, model.diffusion, rng,
-                                          n_paths=n)
-        res = propagate_coupled(model, imp, x_prev[:, 1:], grid, incs)
-        beta_total = incs.values.sum(axis=(1, 2))
-        b_vals = np.sqrt(p_k / (q * t_end))
-        np.testing.assert_allclose(res.proposal_state[:, 0],
-                                   m_k + b_vals * beta_total,
-                                   rtol=0, atol=1e-10)
+        imp = build_bridge(x_prev, self._posterior(m_k, p_k), t_end, index=1)
+        assert imp.dispersion is None
+        end, beta_total = self._scaled_endpoint(x_prev, imp, q, t_end,
+                                                n_steps, rng)
+        np.testing.assert_allclose(end, m_k + beta_total, rtol=0, atol=1e-10)
 
     def test_endpoint_law_kolmogorov_smirnov(self):
-        q, t_end = 1.0, 1.0
+        # [DERIVED] s*(T) ~ N(m_k, q T) = N(-1.2, 0.5^2) for q = 0.25,
+        # T = 1; the posterior variance (here 0.04) plays no part.
+        q, t_end = 0.25, 1.0
         n = 4000
         rng = np.random.default_rng(3)
         x_prev = np.full((n, 2), 0.7)
         imp = build_bridge(x_prev, self._posterior(np.full(n, -1.2),
-                                                   np.full(n, 0.25)),
-                           t_end, q, index=1)
-        model = SdeModel(1, 1, lambda x, t: np.zeros_like(x), 1.0, q)
-        grid = TimeGrid(0.0, t_end, 10)
-        incs = sample_brownian_increments(grid, model.diffusion, rng,
-                                          n_paths=n)
-        res = propagate_coupled(model, imp, x_prev[:, 1:], grid, incs)
-        stat = sps.kstest(res.proposal_state[:, 0],
-                          sps.norm(loc=-1.2, scale=0.5).cdf)
+                                                   np.full(n, 0.04)),
+                           t_end, index=1)
+        end, _ = self._scaled_endpoint(x_prev, imp, q, t_end, 10, rng)
+        stat = sps.kstest(end, sps.norm(loc=-1.2, scale=0.5).cdf)
         assert stat.pvalue > 1e-3
 
     def test_rejects_bad_parameters(self):
         posterior = self._posterior([0.0], [1.0])
-        with pytest.raises(ValueError):
-            build_bridge(np.zeros((1, 2)), posterior, 0.0, 1.0, index=1)
-        with pytest.raises(ValueError):
-            build_bridge(np.zeros((1, 2)), posterior, 1.0, 0.0, index=1)
-
-    def test_variance_floor(self):
-        q, t_end = 0.5, 0.2
-        imp = build_bridge(np.zeros((3, 2)),
-                           self._posterior(np.zeros(3), np.zeros(3)),
-                           t_end, q, index=1)
-        b = np.asarray(imp.dispersion)
-        expected = np.sqrt(VAR_FLOOR * q * t_end / (q * t_end))
-        np.testing.assert_allclose(b.ravel(), expected, rtol=1e-12)
+        for dt in (0.0, -1.0, np.nan):
+            with pytest.raises(ValueError):
+                build_bridge(np.zeros((1, 2)), posterior, dt, index=1)
 
     def test_drift_is_constant_toward_target(self):
         x_prev = np.array([[0.0, 1.0], [0.0, -1.0]])
         imp = build_bridge(x_prev, self._posterior([2.0, 0.0], [0.1, 0.1]),
-                           0.5, 1.0, index=1)
+                           0.5, index=1)
         g = imp.drift(None, x_prev[:, 1:], 0.0)
         np.testing.assert_allclose(g[:, 0], [(2.0 - 1.0) / 0.5,
                                              (0.0 + 1.0) / 0.5], rtol=1e-14)
@@ -265,13 +259,50 @@ class TestBuildBridge:
         np.testing.assert_array_equal(g, g_again)
 
     def test_huge_noise_bridge_close_to_prior_shape(self):
-        # When the endpoint variance equals the prior endpoint variance
-        # q * dt and the mean equals the free drift endpoint, B is 1.
-        q, t_end = 0.6, 0.5
-        x_prev = np.zeros((1, 2))
-        imp = build_bridge(x_prev, self._posterior([0.0], [q * t_end]),
-                           t_end, q, index=1)
-        assert np.asarray(imp.dispersion).ravel()[0] == pytest.approx(1.0,
-                                                                      rel=1e-12)
+        # When the target mean is the particle's own state the bridge is
+        # the free model noise: zero drift, the model's dispersion, and
+        # finite drifts whatever the posterior variance.
+        x_prev = np.zeros((3, 2))
+        imp = build_bridge(x_prev, self._posterior(np.zeros(3),
+                                                   [0.0, 0.3, 1e300]),
+                           0.5, index=1)
+        assert imp.dispersion is None
         g = imp.drift(None, x_prev[:, 1:], 0.0)
-        np.testing.assert_allclose(g, 0.0, atol=1e-15)
+        np.testing.assert_array_equal(g, np.zeros((3, 1)))
+
+
+class TestInformativeOuBridge:
+    """The CLI's OU bridge where the readings pin the state down (r = 0.01
+    against q dt = 1).  The bridge must aim s*, the process the filter
+    weights: a proposal dispersion fitted to the EKF variance sends s*
+    past its target by sqrt(q dt / P_k), about 10 here, and the log
+    marginal to the order of -1e56 with step ESS near 0.
+    """
+
+    P = dict(rate=1.0, q=1.0, obs_var=0.01, x0_mean=0.0, x0_var=1.0)
+
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_tracks_chain_kalman_and_beats_bootstrap_ess(self, seed):
+        p = self.P
+        times, _, ys = cli._simulate_ou(p, dict(dt=1.0, n_meas=30,
+                                                n_fine=50), seed)
+        kf = chain_kalman_filter(-p["rate"], 1.0, p["q"], [1.0],
+                                 p["obs_var"], [0.0], [[p["x0_var"]]],
+                                 times, ys, n_steps=10)
+        model = cli._ou_model(p)
+        cfg = FilterConfig(n_particles=1000, n_steps=10, seed=seed)
+        meas = gaussian_measurement(0, p["obs_var"])
+        ess = {}
+        for name, proposal in (
+                ("bridge", cli._linear_bridge_builder(p["rate"], p["q"],
+                                                      p["obs_var"])),
+                ("bootstrap", prior_proposal(model))):
+            res = run_filter(model, proposal, meas, times, ys, cfg,
+                             method="sir")
+            ess[name] = np.array([r.ess for r in res.summaries[1:]])
+            if name == "bridge":
+                # The benchmark's log-marginal gate: |z| <= 6 Monte Carlo
+                # standard errors, sqrt(sum 1 / ESS).
+                se = np.sqrt(np.sum(1.0 / ess[name]))
+                assert abs(res.log_marginal - kf.log_ml) <= 6.0 * se
+        assert ess["bridge"].min() > ess["bootstrap"].min()
