@@ -292,7 +292,7 @@ def _build_pendulum(cfg):
     model = models.pendulum_model(p["a"], p["q"], initial_sampler=sampler)
     if cfg["filter"]["method"] == "cd_sir_singular":
         obs_var = p["obs_var"]
-        pieces = dict(method="sir_split",
+        pieces = dict(method="sir",
                       meas_model=gaussian_measurement(0, obs_var))
     else:
         family = invchi2_family(cfg["prior"]["nu0"], cfg["prior"]["s20"])
@@ -502,8 +502,7 @@ def cmd_filter(cfg):
     out = cfg["io"]["out"]
     header = _provenance(cfg, "filter")
     n_dim = result.summaries[0].mean.size
-    theta = ["theta_mean", "theta_q05", "theta_q50", "theta_q95"] \
-        if args["method"] == "rb_param" else []
+    theta = list(result.summaries[0].extra)
     cols = ["k", "t"] + ["mean_%d" % i for i in range(n_dim)] \
         + ["var_%d" % i for i in range(n_dim)] \
         + ["ess", "log_marginal", "resampled"] + theta

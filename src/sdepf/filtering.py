@@ -91,26 +91,24 @@ class MeasurementModel:
 
 
 def gaussian_measurement(h, var):
-    """Scalar Gaussian measurement y = h . x + noise, noise ~ N(0, var).
+    """Scalar Gaussian measurement y = x[h] + noise, noise ~ N(0, var).
 
     Args:
-        h: state index (int) or weight vector over state dimensions.
+        h: index (int) of the measured state component.
         var: measurement noise variance.
 
     Returns:
         MeasurementModel.
     """
+    if not isinstance(h, (int, np.integer)):
+        raise ValueError("measurement index must be an int, got %r" % (h,))
     var = float(var)
     if var <= 0:
         raise ValueError("measurement variance must be positive")
     const = -0.5 * np.log(2.0 * np.pi * var)
 
     def loglik(y, states):
-        if isinstance(h, (int, np.integer)):
-            pred = states[..., h]
-        else:
-            pred = states @ np.asarray(h, dtype=float)
-        r = np.asarray(y, dtype=float) - pred
+        r = np.asarray(y, dtype=float) - states[..., h]
         return const - 0.5 * r * r / var
 
     return MeasurementModel(log_likelihood=loglik)
@@ -150,7 +148,8 @@ def init_particle_set(sampler, rng, n, *, gauss=None, stats=None):
 
     Args:
         sampler: callable rng -> one state draw (d,); called n times in
-            slot order on rng.
+            slot order on rng.  None (a model without an initial
+            sampler) raises ValueError.
         rng: numpy Generator for the initial draws.
         n: number of particles.
         gauss: optional initial Gaussian block payload.
@@ -159,6 +158,8 @@ def init_particle_set(sampler, rng, n, *, gauss=None, stats=None):
     Returns:
         ParticleSet with uniform weights.
     """
+    if sampler is None:
+        raise ValueError("no initial sampler available")
     states = np.stack([np.asarray(sampler(rng), dtype=float)
                        for _ in range(n)])
     if states.ndim == 1:
@@ -391,6 +392,11 @@ def sir_step(pset, model, proposal, meas_model, y, grid, *, ess_threshold=0.5,
                        ess_threshold=ess_threshold, resample_rng=resample_rng)
 
 
+# The conjugate filter's parameter quantiles come from THETA_SAMPLES * N
+# posterior draws in all, allocated over the particles by weight.
+THETA_SAMPLES = 64
+
+
 @dataclass
 class FilterConfig:
     """Run-level settings for run_filter.
@@ -404,9 +410,6 @@ class FilterConfig:
             identical for any thread count: each interval's noise block
             is drawn before the particles are split across threads.
         t0: time of the initial state (first interval is [t0, times[0]]).
-        theta_samples: the conjugate filter's parameter quantiles come
-            from K = theta_samples * N posterior draws in all, allocated
-            over the particles by weight (systematic_counts).
         move_steps: resample-move sweeps for method "rb_param" (0 turns
             the move off).  After each resampling, every particle gets
             this many Metropolis-Hastings sweeps over its path
@@ -425,7 +428,6 @@ class FilterConfig:
     seed: int = 0
     threads: int = 1
     t0: float = 0.0
-    theta_samples: int = 64
     move_steps: int = 0
 
 
@@ -490,37 +492,40 @@ def _theta_quantiles(family, stats, weights, k, rng):
 
 
 def run_filter(model, proposal, meas_model, times, ys, config, *,
-               method="sir", family=None, cond_fn=None, init_sampler=None,
-               init_gauss=None, step_callback=None):
+               method="sir", family=None, cond_fn=None, step_callback=None):
     """Run a complete filter over a measurement sequence.
 
+    The method and its inputs are checked before any work; the initial
+    population and the step are then bound once for the whole run.
+
     Args:
-        model: SdeModel (method "sir"), SplitSdeModel ("sir_split",
-            "rb_param") or CondGaussModel ("rb_gauss").
+        model: SdeModel or SplitSdeModel (methods "sir" and "rb_param"),
+            or CondGaussModel ("rb_gauss"); its initial_sampler draws the
+            initial states, and a CondGaussModel's init_gauss gives the
+            initial Gaussian block.
         proposal: ImportanceSpec used for every interval, or a builder
             callable (pset, grid, y) -> ImportanceSpec evaluated per
             interval (and per chunk when threads > 1).
-        meas_model: MeasurementModel; ignored for "rb_gauss" (the model
-            carries H and R) and "rb_param" (the family marginal is the
-            likelihood).
+        meas_model: MeasurementModel, required by "sir"; ignored for
+            "rb_gauss" (the model carries H and R) and "rb_param" (the
+            family marginal is the likelihood).
         times: measurement times, strictly increasing, all > config.t0.
         ys: measurements aligned with times.
         config: FilterConfig.
-        method: "sir", "sir_split", "rb_gauss" or "rb_param".
-        family: ConjugateFamily for "rb_param".
+        method: "sir", "rb_gauss" or "rb_param".
+        family: ConjugateFamily, required by "rb_param".
         cond_fn: for "rb_param", maps (x_prev, x_new) to the value the
             family conditions on; defaults to the new state's first
             component.
-        init_sampler: overrides the model's initial sampler.
-        init_gauss: (m0, P0) for "rb_gauss" (defaults to model.init_gauss).
         step_callback: optional callable (k, t, pset, stats) run after
             each measurement update.
 
     Returns:
         FilterResult; summaries[0] describes the initial population.
+        With "rb_gauss", means and variances list the Gaussian block
+        first; with "rb_param", each row's extra holds theta_mean,
+        theta_q05, theta_q50 and theta_q95, in that order.
     """
-    if method not in ("sir", "sir_split", "rb_gauss", "rb_param"):
-        raise ValueError("unknown method %r" % (method,))
     times = np.asarray(times, dtype=float)
     if times.ndim != 1:
         raise ValueError("times must be 1-d")
@@ -530,79 +535,73 @@ def run_filter(model, proposal, meas_model, times, ys, config, *,
     ys = np.asarray(ys)
     if ys.shape[:1] != times.shape:
         raise ValueError("ys must align with times")
-
     if config.move_steps < 0:
         raise ValueError("move_steps must be nonnegative")
-    if config.move_steps and method != "rb_param":
+
+    from . import raoblackwell as rb
+    n = config.n_particles
+    if method == "rb_param":
+        if family is None:
+            raise ValueError("method 'rb_param' needs a conjugate family")
+        cond_fn = cond_fn or (lambda x_prev, x_new: x_new[..., 0])
+        init = lambda rng: init_particle_set(model.initial_sampler, rng, n,
+                                             stats=family.init_stats(n))
+        step = lambda pset, y, grid, **kw: rb.rb_param_step(
+            pset, model, proposal, family, y, grid, cond_fn=cond_fn, **kw)
+    elif config.move_steps:
         raise ValueError("move_steps applies to method 'rb_param' only")
+    elif method == "sir":
+        if meas_model is None:
+            raise ValueError("method 'sir' needs a MeasurementModel")
+        init = lambda rng: init_particle_set(model.initial_sampler, rng, n)
+        step = lambda pset, y, grid, **kw: sir_step(
+            pset, model, proposal, meas_model, y, grid, **kw)
+    elif method == "rb_gauss":
+        if not isinstance(model, rb.CondGaussModel):
+            raise ValueError("method 'rb_gauss' needs a CondGaussModel, got "
+                             "%s" % type(model).__name__)
+        init = lambda rng: rb.init_rb_gauss_set(model, rng, n)
+        step = lambda pset, y, grid, **kw: rb.rb_gauss_step(
+            pset, model, proposal, y, grid, **kw)
+    else:
+        raise ValueError("unknown method %r" % (method,))
 
     init_rng, noise_rng, resample_rng, summary_rng, *move_rng = seed_streams(
         config.seed, moves=config.move_steps > 0)
-    n = config.n_particles
-    from . import raoblackwell as rb
-
-    rb_param = method == "rb_param"
-    if method == "rb_gauss":
-        pset = rb.init_rb_gauss_set(model, init_rng, n,
-                                    init_sampler=init_sampler,
-                                    init_gauss=init_gauss)
-    else:
-        if rb_param and family is None:
-            raise ValueError("rb_param needs a conjugate family")
-        sampler = init_sampler or model.initial_sampler
-        if sampler is None:
-            raise ValueError("no initial sampler available")
-        stats = family.init_stats(n) if rb_param else None
-        pset = init_particle_set(sampler, init_rng, n, stats=stats)
-    if rb_param and cond_fn is None:
-        cond_fn = lambda x_prev, x_new: x_new[..., 0]
-    moves = {}
+    pset = init(init_rng)
+    step_kw = dict(ess_threshold=config.ess_threshold,
+                   resample_rng=resample_rng, noise_rng=noise_rng,
+                   threads=config.threads)
     if config.move_steps:
         pset.path = rb.PathRecord.start(pset.states, model.dim_noise)
-        moves = dict(move_steps=config.move_steps, move_rng=move_rng[0],
-                     init_sampler=sampler)
+        step_kw.update(move_steps=config.move_steps, move_rng=move_rng[0])
 
     def summarize(pset, k, t, ess, log_ml, resampled):
         w = pset.weights
+        mean, var = _weighted_mean_var(pset.states, w)
         extra = {}
-        if method == "rb_gauss":
+        if pset.gauss is not None:
             mean_b = w @ pset.gauss.mean
             diag = np.diagonal(pset.gauss.cov, axis1=-2, axis2=-1)
             var_b = w @ (diag + (pset.gauss.mean - mean_b) ** 2)
-            mean_s, var_s = _weighted_mean_var(pset.states, w)
-            mean = np.concatenate([mean_b, mean_s])
-            var = np.concatenate([var_b, var_s])
-        else:
-            mean, var = _weighted_mean_var(pset.states, w)
-        if rb_param:
+            mean = np.concatenate([mean_b, mean])
+            var = np.concatenate([var_b, var])
+        if pset.stats is not None:
             est = family.mean(pset.stats)
             extra["theta_mean"] = float(w @ est) if np.all(np.isfinite(est)) \
                 else float("nan")
             extra["theta_q05"], extra["theta_q50"], extra["theta_q95"] = \
                 _theta_quantiles(family, pset.stats, w,
-                                 config.theta_samples * pset.n, summary_rng)
+                                 THETA_SAMPLES * pset.n, summary_rng)
         return SummaryRow(k=k, t=t, mean=mean, var=var, ess=ess,
                           log_marginal=log_ml, resampled=resampled, extra=extra)
 
     summaries = [summarize(pset, 0, config.t0, float(pset.n), 0.0, False)]
     log_ml = 0.0
     t_prev = config.t0
-    step = dict(ess_threshold=config.ess_threshold,
-                resample_rng=resample_rng, noise_rng=noise_rng,
-                threads=config.threads)
-
     for k, (t_k, y_k) in enumerate(zip(times, ys), start=1):
         grid = TimeGrid(t_prev, float(t_k), config.n_steps)
-        if method in ("sir", "sir_split"):
-            pset, st = sir_step(pset, model, proposal, meas_model, y_k, grid,
-                                **step)
-        elif method == "rb_gauss":
-            pset, st = rb.rb_gauss_step(pset, model, proposal, y_k, grid,
-                                        **step)
-        else:
-            pset, st = rb.rb_param_step(pset, model, proposal, family, y_k,
-                                        grid, cond_fn=cond_fn, **step, **moves)
-
+        pset, st = step(pset, y_k, grid, **step_kw)
         log_ml += st.log_ml_increment
         summaries.append(summarize(pset, k, float(t_k), st.ess, log_ml,
                                    st.resampled))

@@ -113,9 +113,9 @@ def _prior_drift(model):
 
 def _is_prior(model, imp):
     """Whether imp is the bootstrap proposal of model.  The loop then
-    aliases the scaled state to the proposal state, evaluates each drift
-    once and leaves Lambda at exactly zero, which is what the full
-    recursion computes there."""
+    takes the model's stochastic drift to be the proposal's, leaves Lambda
+    at exactly zero, which is what the full recursion computes there, and
+    builds none of the inverses that only Lambda reads."""
     return imp.dispersion is None and imp.drift is _prior_drift(model)
 
 
@@ -131,29 +131,31 @@ class _LlrOps:
     """Inverses used by the log-likelihood-ratio step, built once per time.
 
     noise_mat is the proposal's dispersion B, scale is L B^-1 (None when
-    B is declared identical to L), a_lin is L^-T Q^-1 and a_quad is
-    (L Q L^T)^-1.
+    B is declared identical to L), l_inv is L^-1 (also the check that L
+    is invertible), a_lin is L^-T Q^-1 and a_quad is (L Q L^T)^-1.  The
+    last two exist only when Lambda is accumulated (weighted).
     """
 
-    def __init__(self, l_mat, b_mat, q_mat, t):
-        l_inv = guarded_inv(l_mat, "dispersion L", t)
-        q_inv = guarded_inv(q_mat, "diffusion Q", t)
-        self.l_inv = l_inv
+    def __init__(self, l_mat, b_mat, q_mat, t, weighted):
+        self.l_inv = guarded_inv(l_mat, "dispersion L", t)
         self.noise_mat = l_mat if b_mat is None else b_mat
         self.scale = None if b_mat is None \
             else mat_mul(l_mat, guarded_inv(b_mat, "proposal dispersion B", t))
-        self.a_lin = mat_mul(np.swapaxes(l_inv, -1, -2), q_inv)
-        self.a_quad = guarded_inv(
-            mat_mul(mat_mul(l_mat, q_mat), np.swapaxes(l_mat, -1, -2)),
-            "L Q L^T", t)
+        if weighted:
+            self.a_lin = mat_mul(np.swapaxes(self.l_inv, -1, -2),
+                                 guarded_inv(q_mat, "diffusion Q", t))
+            self.a_quad = guarded_inv(
+                mat_mul(mat_mul(l_mat, q_mat), np.swapaxes(l_mat, -1, -2)),
+                "L Q L^T", t)
 
 
-def _ops_at(model, imp, grid):
-    """t -> _LlrOps at t, built once per interval when the model's and
-    the proposal's matrices are all constant."""
+def _ops_at(model, imp, grid, weighted):
+    """t -> _LlrOps at t (with Lambda's inverses when weighted), built
+    once per interval when the model's and the proposal's matrices are
+    all constant."""
     def build(t):
         return _LlrOps(model.dispersion.at(t), _matrix_at(imp.dispersion, t),
-                       model.diffusion.at(t), t)
+                       model.diffusion.at(t), t, weighted)
     if model.dispersion.constant and model.diffusion.constant \
             and not callable(imp.dispersion):
         ops = build(grid.t0)
@@ -198,6 +200,8 @@ def _coupled_loop(model, imp, drifts, x1_prev, x2_prev, grid, incs,
     Runs the proposal pair (s1, s2), the scaled pair (s1*, s2*) and Lambda
     over the grid on the shared increments.  Noise-free blocks (s1, s1*)
     move by forward Euler; the weight uses the stochastic-block drifts.
+    When imp's dispersion is None (B = L) the scaled step is the proposal
+    step, so s* is s: the loop keeps one pair and evaluates f1 once.
 
     Args:
         model: supplies L and Q (and, with imp, the bootstrap short-cut).
@@ -219,15 +223,15 @@ def _coupled_loop(model, imp, drifts, x1_prev, x2_prev, grid, incs,
     """
     f1, f2, g = drifts
     prior = _is_prior(model, imp)
+    same = imp.dispersion is None
     s1 = None if x1_prev is None else np.asarray(x1_prev, dtype=float).copy()
     s2 = np.asarray(x2_prev, dtype=float).copy()
-    s1_star = None if s1 is None else s1.copy()
-    s2_star = s2.copy()
+    s1_star, s2_star = s1, s2   # steps rebind states, never write into them
     vals = _increment_values(incs, grid)
     llr = np.zeros(s2.shape[:-1])
     dt = grid.dt
     noise = np.empty(vals.shape) if record_noise else None
-    ops_at = _ops_at(model, imp, grid)
+    ops_at = _ops_at(model, imp, grid, not prior)
 
     for j in range(grid.n_steps):
         t = grid.t0 + j * dt
@@ -236,10 +240,9 @@ def _coupled_loop(model, imp, drifts, x1_prev, x2_prev, grid, incs,
         ops = ops_at(t)
         g_val = _drift_at(g, s1, s2, t, "proposal drift")
         f1_val = None if s1 is None else _drift_at(f1, s1, s2, t, "drift")
-        if prior:
-            f2_val = g_val
-        else:
-            f2_val = _drift_at(f2, s1_star, s2_star, t, "drift")
+        f2_val = g_val if prior \
+            else _drift_at(f2, s1_star, s2_star, t, "drift")
+        if not same:
             f1_star = None if s1 is None \
                 else _drift_at(f1, s1_star, s2_star, t, "drift")
         db = vals[..., j, :]
@@ -247,11 +250,12 @@ def _coupled_loop(model, imp, drifts, x1_prev, x2_prev, grid, incs,
         step = ds2 if ops.scale is None else mat_vec(ops.scale, ds2)
         if record_noise:
             noise[..., j, :] = _model_increment(ops, step, f2_val, dt)
+        if not prior:
+            llr = _llr_kernel(llr, f2_val, g_val, ops, dt, db)
         s1, s2 = _euler(s1, f1_val, s2, ds2, dt, constrain)
-        if prior:
+        if same:
             s1_star, s2_star = s1, s2
         else:
-            llr = _llr_kernel(llr, f2_val, g_val, ops, dt, db)
             s1_star, s2_star = _euler(s1_star, f1_star, s2_star, step, dt,
                                       constrain)
         if s1_star is not None:

@@ -209,13 +209,11 @@ def kalman_update(block, h_mat, r_mat, y):
     return GaussianBlock(mean, repair_cov(cov)), pred, s_mat
 
 
-def init_rb_gauss_set(model, rng, n, *, init_sampler=None, init_gauss=None):
-    """Equally weighted initial set of n particles drawn from rng, with a
-    shared initial Gaussian block."""
-    sampler = init_sampler or model.initial_sampler
-    if sampler is None:
-        raise ValueError("no initial sampler available")
-    gauss = init_gauss or model.init_gauss
+def init_rb_gauss_set(model, rng, n):
+    """Equally weighted initial set of n particles drawn from rng by the
+    model's initial sampler, with the model's init_gauss as every
+    particle's Gaussian block."""
+    gauss = model.init_gauss
     if gauss is None:
         raise ValueError("no initial Gaussian block available")
     m0 = np.asarray(gauss[0], dtype=float).reshape(-1)
@@ -223,7 +221,7 @@ def init_rb_gauss_set(model, rng, n, *, init_sampler=None, init_gauss=None):
     if p0.ndim == 0:
         p0 = p0.reshape(1, 1)
     block = GaussianBlock(np.tile(m0, (n, 1)), np.tile(p0, (n, 1, 1)))
-    return init_particle_set(sampler, rng, n, gauss=block)
+    return init_particle_set(model.initial_sampler, rng, n, gauss=block)
 
 
 def rb_gauss_step(pset, model, proposal, y, grid, *, ess_threshold=0.5,
@@ -407,16 +405,16 @@ def _mh_sweep(model, family, cond_fn, chunk, x0_new, xi, log_u):
     return states, stats, x0, noise, loglik
 
 
-def _resample_move(pset, model, family, cond_fn, sampler, sweeps, rng,
-                   threads=1):
+def _resample_move(pset, model, family, cond_fn, sweeps, rng, threads=1):
     """Resample-move rejuvenation of an equally weighted population.
 
     Each sweep draws one block from rng before the particles are
-    chunked: n fresh initial states from sampler (called in slot order,
-    as at initialization), a standard-normal block shaped like the
-    recorded noise and two uniforms per particle.  It then proposes, per
-    particle, the fresh initial state with the noise kept, and after that
-    Z' = PCN_RHO Z + sqrt(1 - PCN_RHO^2) xi with the initial state kept.
+    chunked: n fresh initial states from model.initial_sampler (called
+    in slot order, as at initialization), a standard-normal block shaped
+    like the recorded noise and two uniforms per particle.  It then
+    proposes, per particle, the fresh initial state with the noise kept,
+    and after that Z' = PCN_RHO Z + sqrt(1 - PCN_RHO^2) xi with the
+    initial state kept.
     Each proposal is accepted with probability min(1, exp(l' - l)), l
     being the path's summed predictive log likelihood.  The posterior
     over paths (and hence the filtering distribution) is invariant, and
@@ -427,7 +425,6 @@ def _resample_move(pset, model, family, cond_fn, sampler, sweeps, rng,
         model: SdeModel or SplitSdeModel.
         family: ConjugateFamily.
         cond_fn: as in rb_param_step.
-        sampler: the run's initial sampler, rng -> (n,).
         sweeps: number of sweeps.
         rng: generator for the move draws.
         threads: worker threads.
@@ -437,7 +434,7 @@ def _resample_move(pset, model, family, cond_fn, sampler, sweeps, rng,
     """
     n = pset.n
     for _ in range(sweeps):
-        x0_new = init_particle_set(sampler, rng, n).states
+        x0_new = init_particle_set(model.initial_sampler, rng, n).states
         xi = rng.standard_normal(pset.path.noise.shape)
         log_u = np.log(rng.random((n, 2)))
 
@@ -455,7 +452,7 @@ def _resample_move(pset, model, family, cond_fn, sampler, sweeps, rng,
 
 def rb_param_step(pset, model, proposal, family, y, grid, *, cond_fn,
                   ess_threshold=0.5, resample_rng=None, noise_rng, threads=1,
-                  move_steps=0, move_rng=None, init_sampler=None):
+                  move_steps=0, move_rng=None):
     """One cycle of the conjugate-parameter marginalized filter.
 
     Particles are propagated as in the plain filter; the measurement
@@ -479,8 +476,8 @@ def rb_param_step(pset, model, proposal, family, y, grid, *, cond_fn,
         noise_rng: generator for the interval's noise block.
         move_steps: resample-move sweeps after a resampling (needs a
             PathRecord payload).
-        move_rng: generator for the move draws.
-        init_sampler: the run's initial sampler, used by the moves.
+        move_rng: generator for the move draws; the moves draw fresh
+            initial states from model.initial_sampler.
 
     Returns:
         (ParticleSet, StepStats).
@@ -501,8 +498,8 @@ def rb_param_step(pset, model, proposal, family, y, grid, *, cond_fn,
                           ess_threshold=ess_threshold,
                           resample_rng=resample_rng)
     if st.resampled and move_steps:
-        new = _resample_move(new, model, family, cond_fn, init_sampler,
-                             move_steps, move_rng, threads)
+        new = _resample_move(new, model, family, cond_fn, move_steps,
+                             move_rng, threads)
     return new, st
 
 

@@ -188,7 +188,7 @@ def test_03_kalman_oracle_equivalence(capsys):
                           seed=seed)
         res = run_filter(split, prior_proposal(split),
                          gaussian_measurement(0, r2), times2, ys2, fc,
-                         method="sir_split")
+                         method="sir")
         pf = np.stack([s.mean for s in res.summaries[1:]])
         ok_split.append(np.abs(pf - kf2.means) < bound2)
     frac_split = float(np.mean(ok_split))
@@ -489,7 +489,7 @@ def test_08_rao_blackwell_variance_reduction(capsys):
                           seed=seed)
         res = run_filter(split, prior_proposal(split),
                          gaussian_measurement(1, obs_var), times, ys, fc,
-                         method="sir_split")
+                         method="sir")
         return res.summaries[-1].mean[1]
 
     est_rb = np.array([rb_estimate(s) for s in range(100)])

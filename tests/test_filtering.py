@@ -1,5 +1,7 @@
 """Weight bookkeeping, resampling and the filter driver."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -258,17 +260,17 @@ class TestThetaQuantiles:
             assert err <= bound, (q, q_hat, q_exact, err, bound)
 
     def test_run_filter_draws_theta_samples_times_n(self):
-        # The initial row's summary is K = theta_samples * N draws from
+        # The initial row's summary is K = 64 * N draws from
         # the summary generator, the fourth child of the seed tree.
         model = models.pendulum_model(
             1.0, 0.01, initial_sampler=lambda g: g.normal(size=2))
         fam = invchi2_family(3.0, 0.4)
-        cfg = FilterConfig(n_particles=3, n_steps=2, seed=4, theta_samples=167)
+        cfg = FilterConfig(n_particles=3, n_steps=2, seed=4)
         res = run_filter(model, prior_proposal(model), None, [0.1], [0.2],
                          cfg, method="rb_param", family=fam)
         row = res.summaries[0]
         expect = _theta_quantiles(fam, fam.init_stats(3), np.full(3, 1 / 3),
-                                  501, seed_streams(4)[3])
+                                  64 * 3, seed_streams(4)[3])
         assert [row.extra["theta_q05"], row.extra["theta_q50"],
                 row.extra["theta_q95"]] == expect
 
@@ -325,6 +327,28 @@ class TestFinishStep:
         with pytest.raises(IntegrationError):
             finish_step(pset, np.zeros((2, 1)), np.array([np.nan, 0.0]),
                         np.zeros(2), t=1.0)
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.lists(st.tuples(st.floats(min_value=-20.0, max_value=0.0),
+                              st.floats(min_value=-20.0, max_value=20.0),
+                              st.floats(min_value=-20.0, max_value=20.0)),
+                    min_size=1, max_size=30))
+    def test_underflowing_increments_keep_weights(self, rows):
+        # Shifting every incremental log weight by -1000 makes each
+        # exp(lw) underflow to 0; the normalized weights and the ESS
+        # must not notice, and the log-ML increment moves by the shift.
+        prior, llr, loglik = np.array(rows).T
+        lw = prior - normalize_log_weights(prior)[1] - np.log(prior.size)
+        assert np.all(np.exp(lw + llr + loglik - 1000.0) == 0.0)
+        pset = ParticleSet(np.zeros((prior.size, 1)), lw, 0)
+        ref, st_ref = finish_step(pset, pset.states, llr, loglik, t=1.0,
+                                  ess_threshold=0.0)
+        out, st_ = finish_step(pset, pset.states, llr, loglik - 1000.0,
+                               t=1.0, ess_threshold=0.0)
+        np.testing.assert_allclose(out.weights, ref.weights, rtol=1e-12)
+        assert st_.ess == pytest.approx(st_ref.ess, rel=1e-12)
+        assert st_.log_ml_increment - st_ref.log_ml_increment \
+            == pytest.approx(-1000.0, abs=1e-9)
 
 
 class TestSeedStreams:
@@ -474,6 +498,27 @@ class TestRunFilter:
                        gaussian_measurement(0, obs_var), times, ys, cfg,
                        method="rb_param")
 
+    def test_reading_far_in_the_tail(self):
+        # A reading 60 measurement sigmas beyond the prior predictive
+        # makes every likelihood factor underflow; the filter must still
+        # return a finite log marginal and ESS >= 1.
+        model, times, ys, (_, _, obs_var) = _ou_setup(n_meas=3)
+        ys = ys.copy()
+        ys[1] = 60.0 * np.sqrt(obs_var) + 10.0
+        cfg = FilterConfig(n_particles=200, n_steps=5, seed=3)
+        res = run_filter(model, prior_proposal(model),
+                         gaussian_measurement(0, obs_var), times, ys, cfg)
+        assert np.isfinite(res.log_marginal)
+        assert res.log_marginal < -1000.0
+        for row in res.summaries:
+            assert row.ess >= 1.0
+            assert np.all(np.isfinite(row.mean))
+
+    @pytest.mark.parametrize("h", [[1.0, 0.0], 0.0, np.array([0])])
+    def test_measurement_index_must_be_an_int(self, h):
+        with pytest.raises(ValueError, match="measurement index"):
+            gaussian_measurement(h, 0.25)
+
     def test_missing_initial_sampler_rejected(self):
         model = SdeModel(1, 1, lambda x, t: -x, 1.0, 1.0)
         cfg = FilterConfig(n_particles=10, n_steps=2, seed=0)
@@ -513,17 +558,18 @@ class TestParticleSetBasics:
         np.testing.assert_array_equal(sub.stats[:, 0], [2.0, 4.0])
 
 
-def _method_case(method):
+def _method_case(case):
     """(model, proposal, meas_model, times, ys, run_filter kwargs) for a
-    tiny instance of each filter method.  The pendulum cases use the
-    per-particle bridge builder, which runs once per chunk."""
+    tiny instance of each filter method.  "sir_split" is method "sir" on
+    a split model.  The pendulum cases use the per-particle bridge
+    builder, which runs once per chunk."""
     times = np.array([0.3, 0.6, 0.9])
-    if method == "sir":
+    if case == "sir":
         model = SdeModel(1, 1, lambda x, t: -x, 1.0, 0.5,
                          initial_sampler=lambda g: g.normal(size=1))
         return (model, prior_proposal(model), gaussian_measurement(0, 0.1),
-                times, np.array([0.4, -0.3, 0.2]), {})
-    if method == "rb_gauss":
+                times, np.array([0.4, -0.3, 0.2]), {"method": "sir"})
+    if case == "rb_gauss":
         model = CondGaussModel(
             dim_lin=1, dim_det=0, dim_stoch=1,
             lin_coeff=lambda x2, x3, t: np.full(x3.shape[:-1] + (1, 1), -0.5),
@@ -535,27 +581,28 @@ def _method_case(method):
             initial_sampler=lambda g: g.normal(size=1),
             init_gauss=(np.array([0.5]), np.array([[0.9]])))
         return (model, prior_proposal(model), None, times,
-                np.array([0.6, 0.1, -0.2]), {})
+                np.array([0.6, 0.1, -0.2]), {"method": "rb_gauss"})
     model = models.pendulum_model(
         1.0, 0.01, initial_sampler=lambda g: np.array([1.5, 0.0])
         + 0.5 * g.standard_normal(2))
     ys = np.array([1.4, 1.2, 1.0])
-    if method == "sir_split":
+    if case == "sir_split":
         return (model, models.pendulum_bridge_builder(1.0, 0.01, 0.25),
-                gaussian_measurement(0, 0.25), times, ys, {})
+                gaussian_measurement(0, 0.25), times, ys, {"method": "sir"})
     fam = invchi2_family(3.0, 0.2)
     builder = models.pendulum_bridge_builder(
         1.0, 0.01, lambda pset: fam.point_estimate(pset.stats))
-    return model, builder, None, times, ys, {"family": fam}
+    return (model, builder, None, times, ys,
+            {"method": "rb_param", "family": fam})
 
 
-def _run_case(method, n, threads=1, ess_threshold=0.5, n_meas=None,
+def _run_case(case, n, threads=1, ess_threshold=0.5, n_meas=None,
               move_steps=0):
-    model, proposal, meas, times, ys, kwargs = _method_case(method)
+    model, proposal, meas, times, ys, kwargs = _method_case(case)
     cfg = FilterConfig(n_particles=n, n_steps=3, ess_threshold=ess_threshold,
                        seed=4, threads=threads, move_steps=move_steps)
     return run_filter(model, proposal, meas, times[:n_meas], ys[:n_meas],
-                      cfg, method=method, **kwargs)
+                      cfg, **kwargs)
 
 
 METHODS = ("sir", "sir_split", "rb_gauss", "rb_param")
@@ -605,6 +652,10 @@ class TestThreadInvariance:
                                           ref.final_set.path.noise)
 
 
+def _raising_sampler(rng):
+    raise AssertionError("initial sampler called")
+
+
 class TestRunFilterEdgeCases:
     @pytest.mark.parametrize("method", METHODS)
     def test_single_particle(self, method):
@@ -637,15 +688,24 @@ class TestRunFilterEdgeCases:
         # one-row result came back; now nothing runs, not even the
         # initial sampler.
         model, times, ys, (_, _, obs_var) = _ou_setup(n_meas=n_meas)
-
-        def sampler(rng):
-            raise AssertionError("initial sampler called")
-
+        model = dataclasses.replace(model, initial_sampler=_raising_sampler)
         with pytest.raises(ValueError, match="unknown method 'bogus'"):
             run_filter(model, prior_proposal(model),
                        gaussian_measurement(0, obs_var), times, ys,
                        FilterConfig(n_particles=4, n_steps=2),
-                       method="bogus", init_sampler=sampler)
+                       method="bogus")
+
+    @pytest.mark.parametrize("method, match", [
+        ("sir", "method 'sir' needs a MeasurementModel"),
+        ("rb_gauss", "method 'rb_gauss' needs a CondGaussModel, got SdeModel"),
+    ])
+    def test_missing_method_input_raises_before_any_work(self, method, match):
+        # An OU SdeModel with no measurement model suits neither method.
+        model, times, ys, _ = _ou_setup(n_meas=1)
+        model = dataclasses.replace(model, initial_sampler=_raising_sampler)
+        with pytest.raises(ValueError, match=match):
+            run_filter(model, prior_proposal(model), None, times, ys,
+                       FilterConfig(n_particles=4, n_steps=2), method=method)
 
     @pytest.mark.parametrize("method", METHODS)
     def test_threshold_zero_never_resamples(self, method):

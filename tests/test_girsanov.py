@@ -1,13 +1,16 @@
 """Log likelihood ratio recursion and its exactness for the Euler chain."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 from scipy.stats import norm
 
-from sdepf import (DiffusionSpec, ImportanceSpec, SdeModel, SplitSdeModel,
-                   TimeGrid, estimate_kl, integrate_sde, models,
-                   prior_proposal, propagate_coupled, propagate_coupled_split,
-                   sample_brownian_increments)
+from sdepf import (DiffusionSpec, ImportanceSpec, ParticleSet, SdeModel,
+                   SplitSdeModel, TimeGrid, estimate_kl, girsanov,
+                   integrate_sde, models, prior_proposal, propagate_coupled,
+                   propagate_coupled_split, sample_brownian_increments)
+from sdepf.exceptions import SingularMatrixError
 from sdepf.sde import BrownianIncrements
 
 
@@ -162,6 +165,72 @@ class TestPriorShortCut:
         for name in ("state_det", "state_stoch", "proposal_det",
                      "proposal_stoch", "llr", "model_noise"):
             _assert_same_bits(getattr(short, name), getattr(full, name))
+
+
+class TestLambdaInverses:
+    """_LlrOps inverts Q and L Q L^T only when Lambda is accumulated;
+    L^-1 is always built, as the model's invertibility check."""
+
+    @staticmethod
+    def _count_inverses(monkeypatch, model, imp):
+        calls = []
+        inner = girsanov.guarded_inv
+        monkeypatch.setattr(girsanov, "guarded_inv",
+                            lambda mat, name, t=None: calls.append(name)
+                            or inner(mat, name, t))
+        grid = TimeGrid(0.0, 1.0, 10)
+        incs = sample_brownian_increments(grid, model.diffusion,
+                                          np.random.default_rng(4), n_paths=8)
+        propagate_coupled(model, imp, np.zeros((8, 1)), grid, incs)
+        return calls
+
+    def test_bootstrap_interval_inverts_l_only(self, monkeypatch):
+        model = _ou_model()
+        calls = self._count_inverses(monkeypatch, model,
+                                     prior_proposal(model))
+        assert calls == ["dispersion L"]
+
+    def test_weighted_interval_inverts_all(self, monkeypatch):
+        model = _ou_model()
+        calls = self._count_inverses(monkeypatch, model,
+                                     _full_path_twin(model))
+        assert sorted(calls) == ["L Q L^T", "diffusion Q", "dispersion L"]
+
+    def test_bootstrap_still_rejects_singular_l(self):
+        model = SdeModel(1, 1, lambda x, t: -x, 0.0, 1.0)
+        grid = TimeGrid(0.0, 1.0, 4)
+        incs = sample_brownian_increments(grid, model.diffusion,
+                                          np.random.default_rng(4), n_paths=3)
+        with pytest.raises(SingularMatrixError, match="dispersion L"):
+            propagate_coupled(model, prior_proposal(model), np.zeros((3, 1)),
+                              grid, incs)
+
+
+class TestBridgeKeepsOnePair:
+    """With dispersion None (B = L) the scaled step is the proposal
+    step, so a bridge's s* is its s, bit for bit, while Lambda is not
+    zero; the noise-free drift runs once per Euler step."""
+
+    def test_pendulum_bridge(self):
+        rng = np.random.default_rng(6)
+        model = models.pendulum_model(1.0, 0.3)
+        calls = []
+        det = model.drift_det
+        model = dataclasses.replace(
+            model, drift_det=lambda *a: calls.append(1) or det(*a))
+        states = np.array([1.5, 0.0]) + 0.3 * rng.normal(size=(40, 2))
+        grid = TimeGrid(0.0, 0.5, 10)
+        pset = ParticleSet(states, np.full(40, -np.log(40.0)))
+        imp = models.pendulum_bridge_builder(1.0, 0.3, 0.25)(pset, grid, 1.2)
+        assert imp.dispersion is None
+        incs = sample_brownian_increments(grid, model.diffusion, rng,
+                                          n_paths=40)
+        x1, x2 = model.split(states)
+        res = propagate_coupled_split(model, imp, x1, x2, grid, incs)
+        _assert_same_bits(res.state_det, res.proposal_det)
+        _assert_same_bits(res.state_stoch, res.proposal_stoch)
+        assert np.all(res.llr != 0.0)
+        assert len(calls) == grid.n_steps
 
 
 class TestOneLoop:

@@ -766,7 +766,7 @@ class TestResampleMove:
         cfg = FilterConfig(n_particles=8, n_steps=2, move_steps=1)
         with pytest.raises(ValueError):
             run_filter(model, prior_proposal(model), None, sim.times[:1],
-                       sim.counts[:1], cfg, method="sir_split")
+                       sim.counts[:1], cfg, method="sir")
 
 
 class TestCondGaussModelCoercion:
