@@ -18,7 +18,7 @@ import numpy as np
 
 from .exceptions import DegeneracyError, IntegrationError
 from .girsanov import propagate_coupled, propagate_coupled_split
-from .sde import BrownianIncrements, SplitSdeModel, TimeGrid
+from .sde import BrownianIncrements, SplitSdeModel, TimeGrid, _scale_noise
 
 __all__ = [
     "ParticleSet", "MeasurementModel", "StepStats", "FilterConfig",
@@ -147,9 +147,10 @@ def init_particle_set(sampler, rng, n, *, gauss=None, stats=None):
     """Draw an equally weighted initial population.
 
     Args:
-        sampler: callable rng -> one state draw (d,); called n times in
-            slot order on rng.  None (a model without an initial
-            sampler) raises ValueError.
+        sampler: callable rng -> one state draw, a scalar or (d,); called
+            n times in slot order on rng, and the draws become one float
+            array (ValueError if ragged).  None (a model without an
+            initial sampler) raises ValueError.
         rng: numpy Generator for the initial draws.
         n: number of particles.
         gauss: optional initial Gaussian block payload.
@@ -160,8 +161,9 @@ def init_particle_set(sampler, rng, n, *, gauss=None, stats=None):
     """
     if sampler is None:
         raise ValueError("no initial sampler available")
-    states = np.stack([np.asarray(sampler(rng), dtype=float)
-                       for _ in range(n)])
+    if n < 1:
+        raise ValueError("need at least one particle, got n=%d" % n)
+    states = np.array([sampler(rng) for _ in range(n)], dtype=float)
     if states.ndim == 1:
         states = states[:, None]
     if not np.all(np.isfinite(states)):
@@ -175,13 +177,15 @@ def draw_increments(grid, diffusion, noise_rng, n):
 
     The whole (n, n_steps, s) standard-normal block is one draw from
     noise_rng, so slot i's path is the same however the slots are later
-    split into chunks.
+    split into chunks.  That block is scaled into the increments in
+    place, bit for bit as BrownianIncrements.from_noise scales it, so it
+    is the one block-sized allocation (a d x d Q, d > 1, adds one more).
     """
     dim = diffusion.dim
     if dim is None:
         dim = diffusion.at(grid.t0).shape[0]
     noise = noise_rng.standard_normal((n, grid.n_steps, dim))
-    return BrownianIncrements.from_noise(grid, diffusion, noise)
+    return BrownianIncrements(_scale_noise(grid, diffusion, noise, owned=True))
 
 
 def normalize_log_weights(log_weights):
@@ -540,6 +544,9 @@ def run_filter(model, proposal, meas_model, times, ys, config, *,
 
     from . import raoblackwell as rb
     n = config.n_particles
+    if method in ("sir", "rb_param") and isinstance(model, rb.CondGaussModel):
+        raise ValueError("method %r needs an SdeModel or SplitSdeModel, got "
+                         "CondGaussModel" % (method,))
     if method == "rb_param":
         if family is None:
             raise ValueError("method 'rb_param' needs a conjugate family")

@@ -179,18 +179,22 @@ def _model_increment(ops, step, f_val, dt):
     return mat_vec(ops.l_inv, step - f_val * dt)
 
 
-def _drift_at(drift, s1, s2, t, what):
-    val = np.asarray(drift(s1, s2, t), dtype=float)
-    _check_finite(val, what, t)
-    return val
+def _drift_at(drift, s1, s2, t):
+    return np.asarray(drift(s1, s2, t), dtype=float)
 
 
 def _euler(s1, f1_val, s2, ds2, dt, constrain):
     """Move the noise-free block (None if absent) by forward Euler and the
-    stochastic block by ds2, then apply constrain if given."""
+    stochastic block by ds2, then apply constrain if given.  Also returns
+    the sum of the moved blocks before and after constrain, non-finite if
+    an entry is or a drift was (even one constrain clipped) or on overflow."""
     s1 = None if s1 is None else s1 + f1_val * dt
     s2 = s2 + ds2
-    return (s1, s2) if constrain is None else constrain(s1, s2)
+    moved = [s1, s2]
+    if constrain is not None:
+        s1, s2 = constrain(s1, s2)
+        moved += [s1, s2]
+    return s1, s2, sum(b.sum() for b in moved if b is not None)
 
 
 def _coupled_loop(model, imp, drifts, x1_prev, x2_prev, grid, incs,
@@ -202,6 +206,8 @@ def _coupled_loop(model, imp, drifts, x1_prev, x2_prev, grid, incs,
     move by forward Euler; the weight uses the stochastic-block drifts.
     When imp's dispersion is None (B = L) the scaled step is the proposal
     step, so s* is s: the loop keeps one pair and evaluates f1 once.
+    Each step sums its moved blocks (and Lambda when weighted); only a
+    non-finite sum checks each drift and state to name the first one.
 
     Args:
         model: supplies L and Q (and, with imp, the bootstrap short-cut).
@@ -238,29 +244,34 @@ def _coupled_loop(model, imp, drifts, x1_prev, x2_prev, grid, incs,
         if on_step is not None:
             on_step(s1_star, s2_star, t)
         ops = ops_at(t)
-        g_val = _drift_at(g, s1, s2, t, "proposal drift")
-        f1_val = None if s1 is None else _drift_at(f1, s1, s2, t, "drift")
-        f2_val = g_val if prior \
-            else _drift_at(f2, s1_star, s2_star, t, "drift")
-        if not same:
-            f1_star = None if s1 is None \
-                else _drift_at(f1, s1_star, s2_star, t, "drift")
+        g_val = _drift_at(g, s1, s2, t)
+        f1_val = None if s1 is None else _drift_at(f1, s1, s2, t)
+        f2_val = g_val if prior else _drift_at(f2, s1_star, s2_star, t)
+        f1_star = f1_val if same or s1 is None \
+            else _drift_at(f1, s1_star, s2_star, t)
         db = vals[..., j, :]
         ds2 = g_val * dt + mat_vec(ops.noise_mat, db)
         step = ds2 if ops.scale is None else mat_vec(ops.scale, ds2)
         if record_noise:
             noise[..., j, :] = _model_increment(ops, step, f2_val, dt)
-        if not prior:
-            llr = _llr_kernel(llr, f2_val, g_val, ops, dt, db)
-        s1, s2 = _euler(s1, f1_val, s2, ds2, dt, constrain)
+        s1, s2, screen = _euler(s1, f1_val, s2, ds2, dt, constrain)
         if same:
             s1_star, s2_star = s1, s2
         else:
-            s1_star, s2_star = _euler(s1_star, f1_star, s2_star, step, dt,
-                                      constrain)
-        if s1_star is not None:
-            _check_finite(s1_star, "state", t + dt)
-        _check_finite(s2_star, "state", t + dt)
+            s1_star, s2_star, screen_star = _euler(s1_star, f1_star, s2_star,
+                                                   step, dt, constrain)
+            screen += screen_star
+        if not prior:
+            llr = _llr_kernel(llr, f2_val, g_val, ops, dt, db)
+            screen += llr.sum()
+        if not np.isfinite(screen):   # name the first, in the order read
+            for what, val, at in (("proposal drift", g_val, t),
+                                  ("drift", f1_val, t), ("drift", f2_val, t),
+                                  ("drift", f1_star, t),
+                                  ("state", s1_star, t + dt),
+                                  ("state", s2_star, t + dt)):
+                if val is not None:
+                    _check_finite(val, what, at)
     _check_finite(llr, "log likelihood ratio", grid.t1)
     return SplitCoupledResult(state_det=s1_star, state_stoch=s2_star,
                               proposal_det=s1, proposal_stoch=s2, llr=llr,

@@ -617,7 +617,8 @@ def invchi2_family(nu0, s20):
     def sample(stats, rng, counts):
         nu, m, nu_s2 = _by_counts(stats[..., 0], stats[..., 0] * stats[..., 1],
                                   counts)
-        return nu_s2 / rng.chisquare(nu, m)
+        # Divide into the freshly repeated scales: two K-sized blocks.
+        return np.divide(nu_s2, rng.chisquare(nu, m), out=nu_s2)
 
     return ConjugateFamily("invchi2", init_stats, update, log_marginal,
                            mean, point_estimate, sample)

@@ -206,7 +206,8 @@ class BrownianIncrements:
 
     @classmethod
     def from_noise(cls, grid, diffusion, noise):
-        """Scale standard normal draws into Brownian increments.
+        """Scale standard normal draws into new Brownian increments; noise
+        (replays pass recorded path noise) is never written into.
 
         Args:
             grid: TimeGrid.
@@ -216,18 +217,28 @@ class BrownianIncrements:
         Returns:
             BrownianIncrements with values chol(Q(t_j) dt) @ noise_j.
         """
-        noise = np.asarray(noise, dtype=float)
-        if noise.shape[-2] != grid.n_steps:
-            raise ValueError("noise has %d steps, grid has %d"
-                             % (noise.shape[-2], grid.n_steps))
-        sq = np.sqrt(grid.dt)
-        if diffusion.constant:
-            scaled = sq * mat_vec(diffusion.chol(grid.t0), noise)
-        else:
-            times = grid.times[:-1]
-            chols = np.stack([diffusion.chol(t) for t in times])
-            scaled = sq * mat_vec(chols, noise)
-        return cls(scaled)
+        return cls(_scale_noise(grid, diffusion,
+                                np.asarray(noise, dtype=float), owned=False))
+
+
+def _scale_noise(grid, diffusion, noise, owned):
+    """chol(Q(t_j)) @ noise_j * sqrt(dt) of noise (..., n_steps, s), in
+    place if owned.  A 1x1 factor scales elementwise with mat_vec's bits
+    (the products commute; + 0.0 turns -0 into +0 as np.matmul does)."""
+    if noise.shape[-2] != grid.n_steps:
+        raise ValueError("noise has %d steps, grid has %d"
+                         % (noise.shape[-2], grid.n_steps))
+    if diffusion.constant:
+        chol = diffusion.chol(grid.t0)
+    else:
+        chol = np.stack([diffusion.chol(t) for t in grid.times[:-1]])
+    if chol.shape[-2:] == (1, 1) and noise.shape[-1] == 1:
+        out = np.multiply(noise, chol[..., 0], out=noise if owned else None)
+        out += 0.0
+    else:
+        out = mat_vec(chol, noise)
+    out *= np.sqrt(grid.dt)
+    return out
 
 
 def sample_brownian_increments(grid, diffusion, rng, n_paths=None):

@@ -1,21 +1,23 @@
 """Weight bookkeeping, resampling and the filter driver."""
 
 import dataclasses
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sdepf import (CondGaussModel, FilterConfig, GaussianBlock, ParticleSet,
-                   SdeModel, TimeGrid, effective_sample_size, finish_step,
-                   gamma_poisson_family, gaussian_measurement,
+from sdepf import (CondGaussModel, DiffusionSpec, FilterConfig, GaussianBlock,
+                   ParticleSet, SdeModel, TimeGrid, effective_sample_size,
+                   finish_step, gamma_poisson_family, gaussian_measurement,
                    init_particle_set, invchi2_family, models,
                    normalize_log_weights, prior_proposal, run_filter,
                    seed_streams, sir_step, systematic_counts,
                    systematic_resample, systematic_resample_indices)
 from sdepf.exceptions import DegeneracyError, IntegrationError
-from sdepf.filtering import _theta_quantiles, _uniform_quantile
+from sdepf.filtering import (_theta_quantiles, _uniform_quantile,
+                             draw_increments)
 
 from oracles import chain_kalman_filter, mixture_cdf, mixture_quantiles
 
@@ -528,19 +530,32 @@ class TestRunFilter:
 
 
 class TestParticleSetBasics:
-    def test_init_particle_set_draws_one_per_stream(self):
-        # N draws in slot order from the one init generator.
-        pset = init_particle_set(lambda g: g.normal(size=2),
-                                 np.random.default_rng(3), 5)
-        assert pset.states.shape == (5, 2)
+    @pytest.mark.parametrize("sampler, dim", [
+        (lambda g: g.normal(size=2), 2),
+        (lambda g: np.array(g.normal()), 1),
+        (lambda g: [g.normal(), -g.normal(), 0.5], 3),
+        (lambda g: g.integers(-9, 9, size=2), 2),
+    ], ids=["d_array", "zero_d", "list", "integers"])
+    def test_init_particle_set_draws_one_per_stream(self, sampler, dim):
+        # N draws in slot order from the one init generator, bit for bit
+        # the stack of the draws as float arrays (a column for 0-d ones).
+        pset = init_particle_set(sampler, np.random.default_rng(3), 5)
+        assert pset.states.shape == (5, dim)
         assert pset.n == 5
         np.testing.assert_allclose(np.exp(pset.log_weights), 0.2, rtol=1e-12)
         assert pset.step_index == 0
-        np.testing.assert_array_equal(
-            pset.states, np.random.default_rng(3).normal(size=(5, 2)))
-        again = init_particle_set(lambda g: g.normal(size=2),
-                                  np.random.default_rng(3), 5)
-        np.testing.assert_array_equal(pset.states, again.states)
+        rng = np.random.default_rng(3)
+        ref = np.stack([np.asarray(sampler(rng), dtype=float)
+                        for _ in range(5)]).reshape(5, dim)
+        assert pset.states.dtype == ref.dtype
+        assert pset.states.tobytes() == ref.tobytes()
+
+    @pytest.mark.parametrize("sizes", [[2, 2, 3], []], ids=["ragged", "none"])
+    def test_init_particle_set_ragged_or_no_draws_raise(self, sizes):
+        it = iter(sizes)
+        with pytest.raises(ValueError):
+            init_particle_set(lambda g: g.normal(size=next(it)),
+                              np.random.default_rng(3), len(sizes))
 
     def test_weights_property(self):
         pset = ParticleSet(np.zeros((3, 1)), np.log([0.2, 0.3, 0.5]), 0)
@@ -556,6 +571,26 @@ class TestParticleSetBasics:
         np.testing.assert_array_equal(sub.states[:, 0], [1.0, 2.0])
         np.testing.assert_array_equal(sub.gauss.mean[:, 0], [1.0, 2.0])
         np.testing.assert_array_equal(sub.stats[:, 0], [2.0, 4.0])
+
+
+class TestDrawIncrements:
+    @pytest.mark.parametrize("q, blocks", [
+        (0.8, 1.05),
+        (lambda t: 0.8, 1.05),
+        (np.array([[1.0, 0.3], [0.3, 2.0]]), 2.05),
+    ], ids=["const_1x1", "callable_1x1", "const_2x2"])
+    def test_peak_memory(self, q, blocks):
+        # The standard-normal block is scaled in place: it is the one
+        # block-sized allocation, plus np.matmul's product for a 2x2 Q.
+        grid, spec = TimeGrid(0.0, 0.5, 10), DiffusionSpec(q)
+        tracemalloc.start()
+        try:
+            incs = draw_increments(grid, spec, np.random.default_rng(0),
+                                   30000)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= blocks * incs.values.nbytes
 
 
 def _method_case(case):
@@ -695,17 +730,34 @@ class TestRunFilterEdgeCases:
                        FilterConfig(n_particles=4, n_steps=2),
                        method="bogus")
 
-    @pytest.mark.parametrize("method, match", [
-        ("sir", "method 'sir' needs a MeasurementModel"),
-        ("rb_gauss", "method 'rb_gauss' needs a CondGaussModel, got SdeModel"),
+    @pytest.mark.parametrize("method, match, cond_gauss", [
+        pytest.param("sir", "method 'sir' needs a MeasurementModel", False,
+                     id="sir-method 'sir' needs a MeasurementModel"),
+        pytest.param("rb_gauss", "method 'rb_gauss' needs a CondGaussModel, "
+                     "got SdeModel", False, id="rb_gauss-method 'rb_gauss' "
+                     "needs a CondGaussModel, got SdeModel"),
+        pytest.param("sir", "method 'sir' needs an SdeModel or "
+                     "SplitSdeModel, got CondGaussModel", True,
+                     id="sir-CondGaussModel"),
+        pytest.param("rb_param", "method 'rb_param' needs an SdeModel or "
+                     "SplitSdeModel, got CondGaussModel", True,
+                     id="rb_param-CondGaussModel"),
     ])
-    def test_missing_method_input_raises_before_any_work(self, method, match):
-        # An OU SdeModel with no measurement model suits neither method.
+    def test_missing_method_input_raises_before_any_work(self, method, match,
+                                                         cond_gauss):
+        # An OU SdeModel with no measurement model suits neither "sir" nor
+        # "rb_gauss"; a CondGaussModel suits neither "sir" nor "rb_param",
+        # even with a measurement model and a family.
         model, times, ys, _ = _ou_setup(n_meas=1)
+        meas = None
+        if cond_gauss:
+            model, meas = _method_case("rb_gauss")[0], \
+                gaussian_measurement(0, 0.1)
         model = dataclasses.replace(model, initial_sampler=_raising_sampler)
         with pytest.raises(ValueError, match=match):
-            run_filter(model, prior_proposal(model), None, times, ys,
-                       FilterConfig(n_particles=4, n_steps=2), method=method)
+            run_filter(model, prior_proposal(model), meas, times, ys,
+                       FilterConfig(n_particles=4, n_steps=2), method=method,
+                       family=invchi2_family(3.0, 0.2))
 
     @pytest.mark.parametrize("method", METHODS)
     def test_threshold_zero_never_resamples(self, method):

@@ -10,7 +10,7 @@ from sdepf import (DiffusionSpec, ImportanceSpec, ParticleSet, SdeModel,
                    SplitSdeModel, TimeGrid, estimate_kl, girsanov,
                    integrate_sde, models, prior_proposal, propagate_coupled,
                    propagate_coupled_split, sample_brownian_increments)
-from sdepf.exceptions import SingularMatrixError
+from sdepf.exceptions import IntegrationError, SingularMatrixError
 from sdepf.sde import BrownianIncrements
 
 
@@ -269,6 +269,56 @@ class TestOneLoop:
                                ("llr", "llr"),
                                ("model_noise", "model_noise")):
             _assert_same_bits(getattr(a, name_a), getattr(b, name_b))
+
+
+class TestNonFiniteNaming:
+    """Each step is screened by one sum per moved block (and Lambda when
+    weighted); a failure names the first non-finite quantity, in the
+    order the step reads them, at that step's time."""
+
+    GRID = TimeGrid(0.0, 1.0, 8)
+
+    @staticmethod
+    def _nan_from_half(x, t):
+        return -x if t < 0.5 else np.full(x.shape, np.nan)
+
+    def _incs(self, model):
+        return sample_brownian_increments(self.GRID, model.diffusion,
+                                          np.random.default_rng(2),
+                                          n_paths=10)
+
+    def _propagate(self, model, imp):
+        propagate_coupled(model, imp, np.zeros((10, 1)), self.GRID,
+                          self._incs(model))
+
+    def test_bootstrap_proposal_drift(self):
+        model = SdeModel(1, 1, self._nan_from_half, 1.0, 0.5)
+        with pytest.raises(IntegrationError, match=r"^proposal drift became "
+                                                   r"non-finite at t=0\.5$"):
+            self._propagate(model, prior_proposal(model))
+
+    def test_weighted_target_drift_at_its_step(self):
+        # Only Lambda reads the target drift here: the error names the
+        # drift at its step, not Lambda at the interval's end.
+        model = SdeModel(1, 1, self._nan_from_half, 1.0, 0.5)
+        with pytest.raises(IntegrationError, match=r"^drift became "
+                                                   r"non-finite at t=0\.5$"):
+            self._propagate(model, ImportanceSpec(drift=lambda x, t: -x))
+
+    def test_inf_drift_under_clipping_constrain(self):
+        # np.clip maps the infinite step back into the box; the drift is
+        # still named.
+        model = SplitSdeModel(
+            1, 1, 1,
+            lambda s1, s2, t: -s1 if t < 0.25 else np.full(s1.shape, np.inf),
+            lambda s1, s2, t: -s2, 1.0, 0.5,
+            constrain=lambda s1, s2: (np.clip(s1, -1.0, 1.0),
+                                      np.clip(s2, -1.0, 1.0)))
+        with pytest.raises(IntegrationError, match=r"^drift became "
+                                                   r"non-finite at t=0\.25$"):
+            propagate_coupled_split(model, prior_proposal(model),
+                                    np.zeros((10, 1)), np.zeros((10, 1)),
+                                    self.GRID, self._incs(model))
 
 
 class TestChainDensityRatio:

@@ -1,6 +1,7 @@
 """Marginalized filters: Kalman recursions and conjugate statistics."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -314,6 +315,24 @@ class TestFamilySampleLayout:
             fam.sample(stats, np.random.default_rng(6), 4),
             self._per_row(kind, stats, np.random.default_rng(6),
                           np.full(n, 4)))
+
+
+    @pytest.mark.parametrize("kind", ["invchi2", "gamma"])
+    def test_peak_memory_is_two_blocks(self, kind):
+        # K = 64 N draws under a shared shape hold two K-sized blocks at
+        # most: the repeated scales and the draws, combined in place.
+        n = 5000
+        fam = invchi2_family(2.0, 0.2) if kind == "invchi2" \
+            else gamma_poisson_family(10.0, 0.001)
+        stats = fam.init_stats(n)
+        tracemalloc.start()
+        try:
+            draws = fam.sample(stats, np.random.default_rng(5), 64)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert draws.size == 64 * n
+        assert peak <= 2.05 * draws.nbytes
 
 
 def _decoupled_cond_model():

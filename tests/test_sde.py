@@ -8,7 +8,9 @@ from scipy.integrate import solve_ivp
 
 from sdepf import (DiffusionSpec, SdeModel, SplitSdeModel, TimeGrid,
                    integrate_sde, sample_brownian_increments)
+from sdepf._linalg import mat_vec
 from sdepf.exceptions import DiffusionError, IntegrationError
+from sdepf.filtering import draw_increments
 from sdepf.sde import BrownianIncrements
 
 
@@ -73,13 +75,37 @@ class TestDiffusionSpec:
 
 
 class TestBrownianIncrements:
-    def test_from_noise_scales_by_chol_and_sqrt_dt(self):
-        # [DERIVED] dbeta = sqrt(dt) * chol(Q) @ eps with eps = 1:
-        # sqrt(0.25) * 2 = 1 for Q = 4, dt = 0.25.
+    @pytest.mark.parametrize("q, row", [
+        (4.0, [1.0]),
+        (lambda t: 4.0, [1.0]),
+        (np.array([[4.0, 2.0], [2.0, 5.0]]), [1.0, 1.5]),
+    ], ids=["const_1x1", "callable_1x1", "const_2x2"])
+    def test_from_noise_scales_by_chol_and_sqrt_dt(self, q, row):
+        # [DERIVED] dbeta = sqrt(dt) * chol(Q) @ eps with eps = 1 and
+        # dt = 0.25: sqrt(0.25) * 2 = 1 for Q = 4; chol(Q) = [[2, 0],
+        # [1, 2]] for the 2x2 Q, so 0.5 * (2, 3) = (1, 1.5).
         grid = TimeGrid(0.0, 1.0, 4)
-        incs = BrownianIncrements.from_noise(grid, DiffusionSpec(4.0),
-                                             np.ones((4, 1)))
-        np.testing.assert_allclose(incs.values, np.ones((4, 1)), rtol=1e-15)
+        spec = DiffusionSpec(q)
+        incs = BrownianIncrements.from_noise(grid, spec,
+                                             np.ones((4, len(row))))
+        np.testing.assert_allclose(incs.values, np.tile(row, (4, 1)),
+                                   rtol=1e-15)
+        # Bit for bit the product sqrt(dt) * mat_vec(chol, z), -0 included
+        # (mat_vec turns it into +0), and draw_increments's in-place
+        # scaling of its own block gives the same bits.  from_noise leaves
+        # its input as it was.
+        z = np.random.default_rng(5).standard_normal((7, 4, len(row)))
+        z[0, 0] = -0.0
+        before = z.copy()
+        chols = np.stack([spec.chol(t) for t in grid.times[:-1]])
+        ref = np.sqrt(grid.dt) * mat_vec(chols, z)
+        assert BrownianIncrements.from_noise(grid, spec, z).values.tobytes() \
+            == ref.tobytes()
+        assert z.tobytes() == before.tobytes()
+        drawn = draw_increments(grid, spec, np.random.default_rng(5), 7).values
+        assert drawn.tobytes() == BrownianIncrements.from_noise(
+            grid, spec, np.random.default_rng(5).standard_normal(
+                (7, 4, len(row)))).values.tobytes()
 
     def test_sampled_increment_moments(self):
         rng = np.random.default_rng(11)
