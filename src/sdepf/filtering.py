@@ -18,23 +18,15 @@ import numpy as np
 
 from .exceptions import DegeneracyError, IntegrationError
 from .girsanov import propagate_coupled, propagate_coupled_split
-from .sde import BrownianIncrements, SplitSdeModel, TimeGrid, _scale_noise
+from .sde import SplitSdeModel, TimeGrid, sample_brownian_increments
 
 __all__ = [
     "ParticleSet", "MeasurementModel", "StepStats", "FilterConfig",
     "SummaryRow", "FilterResult", "seed_streams", "init_particle_set",
-    "draw_increments", "gaussian_measurement", "normalize_log_weights",
-    "effective_sample_size", "systematic_counts",
+    "draw_increments", "gaussian_measurement", "systematic_counts",
     "systematic_resample_indices", "systematic_resample", "finish_step",
     "sir_step", "run_filter",
 ]
-
-
-def _logsumexp(lw):
-    m = np.max(lw)
-    if m == -np.inf:
-        return -np.inf
-    return float(m + np.log(np.sum(np.exp(lw - m))))
 
 
 @dataclass
@@ -103,8 +95,8 @@ def gaussian_measurement(h, var):
     if not isinstance(h, (int, np.integer)):
         raise ValueError("measurement index must be an int, got %r" % (h,))
     var = float(var)
-    if var <= 0:
-        raise ValueError("measurement variance must be positive")
+    if not 0 < var < np.inf:
+        raise ValueError("measurement variance must be positive and finite")
     const = -0.5 * np.log(2.0 * np.pi * var)
 
     def loglik(y, states):
@@ -173,56 +165,10 @@ def init_particle_set(sampler, rng, n, *, gauss=None, stats=None):
 
 
 def draw_increments(grid, diffusion, noise_rng, n):
-    """Brownian increments for one interval, one (n_steps, s) path per slot.
-
-    The whole (n, n_steps, s) standard-normal block is one draw from
-    noise_rng, so slot i's path is the same however the slots are later
-    split into chunks.  That block is scaled into the increments in
-    place, bit for bit as BrownianIncrements.from_noise scales it, so it
-    is the one block-sized allocation (a d x d Q, d > 1, adds one more).
-    """
-    dim = diffusion.dim
-    if dim is None:
-        dim = diffusion.at(grid.t0).shape[0]
-    noise = noise_rng.standard_normal((n, grid.n_steps, dim))
-    return BrownianIncrements(_scale_noise(grid, diffusion, noise, owned=True))
-
-
-def normalize_log_weights(log_weights):
-    """Normalize log weights into probabilities.
-
-    Args:
-        log_weights: unnormalized log weights (N,); -inf entries allowed.
-
-    Returns:
-        (weights, log_mean): normalized weights summing to one, and
-        log(mean(exp(log_weights))), the marginal-likelihood increment
-        when the inputs are incremental weights of equally weighted
-        particles.
-
-    Raises:
-        DegeneracyError: if every entry is -inf.
-        IntegrationError: if any entry is NaN or +inf.
-    """
-    lw = np.asarray(log_weights, dtype=float)
-    if np.any(np.isnan(lw)) or np.any(lw == np.inf):
-        raise IntegrationError("log weights contain NaN or +inf")
-    lse = _logsumexp(lw)
-    if lse == -np.inf:
-        raise DegeneracyError("all particle weights vanished")
-    return np.exp(lw - lse), lse - np.log(lw.size)
-
-
-def effective_sample_size(weights):
-    """ESS = 1 / sum(w^2) of normalized weights.
-
-    Raises:
-        ValueError: if the weights do not sum to one (unnormalized input).
-    """
-    w = np.asarray(weights, dtype=float)
-    if abs(w.sum() - 1.0) > 1e-8 or np.any(w < 0):
-        raise ValueError("effective_sample_size expects normalized weights")
-    return float(1.0 / np.sum(w * w))
+    """One interval's increments, sample_brownian_increments's single
+    (n, n_steps, s) block from noise_rng: slot i's path is the same
+    however the slots are later split into chunks."""
+    return sample_brownian_increments(grid, diffusion, noise_rng, n_paths=n)
 
 
 def systematic_resample_indices(weights, rng):
@@ -274,11 +220,15 @@ def finish_step(pset, new_states, llr, loglik, t, *, gauss=None, stats=None,
                 path=None, ess_threshold=0.5, resample_rng=None):
     """Shared tail of every filter step: weight, normalize, resample.
 
+    The one place where weights are normalized (by their log-sum-exp, the
+    step's log-ML increment) and ESS = 1 / sum(w^2) is taken.  A NaN or
+    +inf weight raises IntegrationError, all -inf DegeneracyError.
+
     Args:
         pset: particle set before the step (normalized log weights).
         new_states: propagated states (N, n).
         llr: log likelihood ratios from propagation (N,).
-        loglik: measurement log likelihoods (N,).
+        loglik: measurement log likelihoods (N,); -inf entries allowed.
         t: measurement time (for diagnostics).
         gauss, stats, path: payloads carried into the new set.
         ess_threshold: resample when ESS < threshold * N.
@@ -291,9 +241,10 @@ def finish_step(pset, new_states, llr, loglik, t, *, gauss=None, stats=None,
     lw_un = pset.log_weights + llr + loglik
     if np.any(np.isnan(lw_un)) or np.any(lw_un == np.inf):
         raise IntegrationError("non-finite log weights at step %d" % k)
-    log_ml_inc = _logsumexp(lw_un)
-    if log_ml_inc == -np.inf:
+    m = np.max(lw_un)
+    if m == -np.inf:
         raise DegeneracyError("all particle weights vanished at step %d" % k)
+    log_ml_inc = float(m + np.log(np.sum(np.exp(lw_un - m))))
     lw = lw_un - log_ml_inc
     w = np.exp(lw)
     ess = float(1.0 / np.sum(w * w))
@@ -316,13 +267,11 @@ def _advance(model, imp, states, grid, vals, record_noise=False):
         None when not recorded).
     """
     if isinstance(model, SplitSdeModel):
-        x1, x2 = model.split(states)
-        res = propagate_coupled_split(model, imp, x1, x2, grid, vals,
-                                      record_noise=record_noise)
-        return (np.concatenate([res.state_det, res.state_stoch], -1),
-                res.llr, res.model_noise)
-    res = propagate_coupled(model, imp, states, grid, vals,
-                            record_noise=record_noise)
+        res = propagate_coupled_split(model, imp, *model.split(states), grid,
+                                      vals, record_noise=record_noise)
+    else:
+        res = propagate_coupled(model, imp, states, grid, vals,
+                                record_noise=record_noise)
     return res.state, res.llr, res.model_noise
 
 
@@ -513,8 +462,8 @@ def run_filter(model, proposal, meas_model, times, ys, config, *,
         meas_model: MeasurementModel, required by "sir"; ignored for
             "rb_gauss" (the model carries H and R) and "rb_param" (the
             family marginal is the likelihood).
-        times: measurement times, strictly increasing, all > config.t0.
-        ys: measurements aligned with times.
+        times: finite, strictly increasing measurement times > config.t0.
+        ys: finite measurements aligned with times.
         config: FilterConfig.
         method: "sir", "rb_gauss" or "rb_param".
         family: ConjugateFamily, required by "rb_param".
@@ -533,10 +482,13 @@ def run_filter(model, proposal, meas_model, times, ys, config, *,
     times = np.asarray(times, dtype=float)
     if times.ndim != 1:
         raise ValueError("times must be 1-d")
+    ys = np.asarray(ys)
+    if not (np.all(np.isfinite(times))
+            and np.all(np.isfinite(np.asarray(ys, dtype=float)))):
+        raise ValueError("measurement times and values must be finite")
     if times.size and (times[0] <= config.t0 or np.any(np.diff(times) <= 0)):
         raise ValueError("measurement times must be strictly increasing "
                          "and start after t0")
-    ys = np.asarray(ys)
     if ys.shape[:1] != times.shape:
         raise ValueError("ys must align with times")
     if config.move_steps < 0:

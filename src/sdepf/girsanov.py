@@ -37,13 +37,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._linalg import (as_square_matrix, guarded_inv, mat_mul, mat_vec,
-                      quad_form)
+from ._linalg import (TimeMatrix, as_square_matrix, guarded_inv, mat_mul,
+                      mat_vec, quad_form)
 from .sde import _check_finite, _increment_values
 
 __all__ = [
-    "ImportanceSpec", "CoupledResult", "SplitCoupledResult",
-    "prior_proposal", "propagate_coupled",
+    "ImportanceSpec", "CoupledResult", "prior_proposal", "propagate_coupled",
     "propagate_coupled_split", "estimate_kl",
 ]
 
@@ -56,10 +55,10 @@ class ImportanceSpec:
         drift: proposal drift g.  Its signature mirrors the drift of the
             model it is used with: (s, t) for SdeModel, (s1, s2, t) for
             SplitSdeModel.  May return per-particle batched values.
-        dispersion: proposal dispersion B(t); a constant array (scalars
-            promoted to 1x1, per-particle (N, s, s) batches allowed), a
-            callable of t, or None meaning "B is L", in which case the
-            scaling is skipped entirely rather than multiplied out.
+        dispersion: proposal dispersion B(t) by the model's rule for L
+            (a scalar is 1x1, a 1-d constant diagonal; 2-d or per-particle
+            (N, s, s) constants and callables of t as they are), or None
+            for "B is L": the scaling is then skipped, not multiplied out.
     """
 
     drift: object
@@ -69,6 +68,9 @@ class ImportanceSpec:
 @dataclass
 class CoupledResult:
     """Endpoint of one coupled propagation interval.
+
+    For a split model both states are the blocks (s1, s2) concatenated,
+    and with the model's own dispersion (B = L) they are one object.
 
     Attributes:
         state: s*(t1), the weighted particle state (..., n).
@@ -81,18 +83,6 @@ class CoupledResult:
 
     state: np.ndarray
     proposal_state: np.ndarray
-    llr: np.ndarray
-    model_noise: np.ndarray = None
-
-
-@dataclass
-class SplitCoupledResult:
-    """Like CoupledResult but for split (noise-free block) models."""
-
-    state_det: np.ndarray
-    state_stoch: np.ndarray
-    proposal_det: np.ndarray
-    proposal_stoch: np.ndarray
     llr: np.ndarray
     model_noise: np.ndarray = None
 
@@ -119,12 +109,14 @@ def _is_prior(model, imp):
     return imp.dispersion is None and imp.drift is _prior_drift(model)
 
 
-def _matrix_at(value, t):
-    """Evaluate an array-or-callable matrix spec at time t."""
+def _dispersion_at(value):
+    """t -> B (None for B = L), read as ImportanceSpec documents."""
     if value is None:
-        return None
-    out = np.asarray(value(t) if callable(value) else value, dtype=float)
-    return out.reshape(1, 1) if out.ndim == 0 else out
+        return lambda t: None
+    if not callable(value) and np.ndim(value) > 2:
+        value = np.asarray(value, dtype=float)
+        return lambda t: value
+    return TimeMatrix(value, "proposal dispersion B").at
 
 
 class _LlrOps:
@@ -153,8 +145,10 @@ def _ops_at(model, imp, grid, weighted):
     """t -> _LlrOps at t (with Lambda's inverses when weighted), built
     once per interval when the model's and the proposal's matrices are
     all constant."""
+    b_at = _dispersion_at(imp.dispersion)
+
     def build(t):
-        return _LlrOps(model.dispersion.at(t), _matrix_at(imp.dispersion, t),
+        return _LlrOps(model.dispersion.at(t), b_at(t),
                        model.diffusion.at(t), t, weighted)
     if model.dispersion.constant and model.diffusion.constant \
             and not callable(imp.dispersion):
@@ -197,6 +191,10 @@ def _euler(s1, f1_val, s2, ds2, dt, constrain):
     return s1, s2, sum(b.sum() for b in moved if b is not None)
 
 
+def _joined(s1, s2):
+    return s2 if s1 is None else np.concatenate([s1, s2], axis=-1)
+
+
 def _coupled_loop(model, imp, drifts, x1_prev, x2_prev, grid, incs,
                   constrain=None, record_noise=False, on_step=None):
     """The coupled Euler/Lambda recursion of every filter.
@@ -225,7 +223,8 @@ def _coupled_loop(model, imp, drifts, x1_prev, x2_prev, grid, incs,
             before the states move.
 
     Returns:
-        SplitCoupledResult (its det fields None when x1_prev is None).
+        CoupledResult; its states are the stochastic blocks when x1_prev
+        is None and the blocks concatenated otherwise.
     """
     f1, f2, g = drifts
     prior = _is_prior(model, imp)
@@ -273,9 +272,9 @@ def _coupled_loop(model, imp, drifts, x1_prev, x2_prev, grid, incs,
                 if val is not None:
                     _check_finite(val, what, at)
     _check_finite(llr, "log likelihood ratio", grid.t1)
-    return SplitCoupledResult(state_det=s1_star, state_stoch=s2_star,
-                              proposal_det=s1, proposal_stoch=s2, llr=llr,
-                              model_noise=noise)
+    state = _joined(s1_star, s2_star)
+    return CoupledResult(state, state if same else _joined(s1, s2), llr,
+                         noise)
 
 
 def _on_stoch(drift):
@@ -301,12 +300,9 @@ def propagate_coupled(model, imp, x_prev, grid, incs, record_noise=False):
     Returns:
         CoupledResult with s*(t1), s(t1) and Lambda(t1).
     """
-    res = _coupled_loop(model, imp, (None, _on_stoch(model.drift),
-                                     _on_stoch(imp.drift)),
-                        None, x_prev, grid, incs, record_noise=record_noise)
-    return CoupledResult(state=res.state_stoch,
-                         proposal_state=res.proposal_stoch, llr=res.llr,
-                         model_noise=res.model_noise)
+    return _coupled_loop(model, imp, (None, _on_stoch(model.drift),
+                                      _on_stoch(imp.drift)),
+                         None, x_prev, grid, incs, record_noise=record_noise)
 
 
 def propagate_coupled_split(model, imp, x1_prev, x2_prev, grid, incs,
@@ -327,7 +323,7 @@ def propagate_coupled_split(model, imp, x1_prev, x2_prev, grid, incs,
         record_noise: also return the model increments of the s* path.
 
     Returns:
-        SplitCoupledResult.
+        CoupledResult whose states hold the blocks (s1, s2) concatenated.
     """
     return _coupled_loop(model, imp,
                          (model.drift_det, model.drift_stoch, imp.drift),

@@ -119,7 +119,7 @@ def ekf_condition(moments, h_mat, r_mat, y):
 
     Runs the same arithmetic as the Kalman measurement update (shared
     implementation) and returns its symmetrized covariance.  Unlike
-    kalman_update it skips repair_cov: ekf_predict's covariance is
+    rb_gauss_step's update it skips repair_cov: ekf_predict's covariance is
     positive semidefinite by construction, the Kalman update keeps it
     so up to rounding, and build_bridge reads only the mean.
 

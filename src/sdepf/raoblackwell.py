@@ -32,12 +32,11 @@ from .exceptions import IntegrationError
 from .filtering import (ParticleSet, _advance, _as_builder, _chunk_map,
                         _propagate, draw_increments, finish_step,
                         init_particle_set)
-from .girsanov import _coupled_loop, _matrix_at, prior_proposal
+from .girsanov import _coupled_loop, prior_proposal
 from .sde import BrownianIncrements, DiffusionSpec
 
 __all__ = [
-    "GaussianBlock", "CondGaussModel", "ConjugateFamily",
-    "propagate_gaussian_block", "kalman_update", "repair_cov",
+    "GaussianBlock", "CondGaussModel", "ConjugateFamily", "repair_cov",
     "init_rb_gauss_set", "rb_gauss_step", "rb_param_step", "PathRecord",
     "replay_path", "eval_mixture", "invchi2_family", "gamma_poisson_family",
 ]
@@ -124,37 +123,14 @@ def repair_cov(cov):
 
 
 def _block_step(mean, cov, f_mat, shift, v_mat, q_eta, dt):
+    """One Euler step of the block's moment ODEs, with F, f1 and V at the
+    sampled states and q_eta the block noise's diffusion; the covariance
+    comes back symmetrized."""
     mean_new = mean + (mat_vec(f_mat, mean) + shift) * dt
     fp = mat_mul(f_mat, cov)
     vqv = mat_mul(mat_mul(v_mat, q_eta), np.swapaxes(v_mat, -1, -2))
     cov_new = cov + (fp + np.swapaxes(fp, -1, -2) + vqv) * dt
     return mean_new, symmetrize(cov_new)
-
-
-def propagate_gaussian_block(block, f_mat, shift, v_mat, q_eta, t, dt):
-    """One Euler step of the conditional moment ODEs.
-
-    Args:
-        block: GaussianBlock at time t.
-        f_mat: F evaluated at the sampled states, (..., p, p).
-        shift: f1 evaluated likewise, (..., p).
-        v_mat: V evaluated likewise, (..., p, r).
-        q_eta: diffusion of the block noise, (r, r) array or DiffusionSpec.
-        t: current time (diagnostics only).
-        dt: step size.
-
-    Returns:
-        GaussianBlock at t + dt with symmetrized covariance.
-    """
-    q = q_eta.at(t) if isinstance(q_eta, DiffusionSpec) else _matrix_at(q_eta, t)
-    mean, cov = _block_step(np.asarray(block.mean, dtype=float),
-                            np.asarray(block.cov, dtype=float),
-                            np.asarray(f_mat, dtype=float),
-                            np.asarray(shift, dtype=float),
-                            np.asarray(v_mat, dtype=float), q, dt)
-    if not (np.all(np.isfinite(mean)) and np.all(np.isfinite(cov))):
-        raise IntegrationError("Gaussian block moments non-finite at t=%g" % t)
-    return GaussianBlock(mean, cov)
 
 
 def _gaussian_condition(mean, cov, h_mat, r_mat, y, t=None):
@@ -165,8 +141,9 @@ def _gaussian_condition(mean, cov, h_mat, r_mat, y, t=None):
     given, is reported when the innovation covariance is singular.
 
     Returns (mean', symmetrized cov', predicted mean, innovation
-    covariance and its inverse).  Callers that need cov' clamped to a
-    positive semidefinite matrix apply repair_cov themselves.
+    covariance S and its inverse); the weight factor is N(y; pred, S).
+    Callers that need cov' clamped to a positive semidefinite matrix
+    apply repair_cov themselves.
     """
     mean = np.asarray(mean, dtype=float)
     cov = np.asarray(cov, dtype=float)
@@ -187,26 +164,6 @@ def _gaussian_condition(mean, cov, h_mat, r_mat, y, t=None):
     mean_new = mean + mat_vec(gain, resid)
     cov_new = cov - mat_mul(mat_mul(gain, s_mat), np.swapaxes(gain, -1, -2))
     return mean_new, symmetrize(cov_new), pred, s_mat, s_inv
-
-
-def kalman_update(block, h_mat, r_mat, y):
-    """Kalman measurement update of a Gaussian block.
-
-    Args:
-        block: GaussianBlock prior to the update.
-        h_mat: measurement matrix (..., m, p).
-        r_mat: measurement noise covariance (..., m, m).  A scalar is
-            1x1, and a 1-d array (N,) holds one variance per particle
-            for a scalar measurement (m = 1), not a diagonal.
-        y: measurement, scalar or (..., m).
-
-    Returns:
-        (GaussianBlock, predicted measurement mean, innovation covariance);
-        the last two feed the weight factor N(y; mu, S).
-    """
-    mean, cov, pred, s_mat, _ = _gaussian_condition(block.mean, block.cov,
-                                                    h_mat, r_mat, y)
-    return GaussianBlock(mean, repair_cov(cov)), pred, s_mat
 
 
 def init_rb_gauss_set(model, rng, n):
@@ -273,8 +230,7 @@ def rb_gauss_step(pset, model, proposal, y, grid, *, ess_threshold=0.5,
         if not (np.all(np.isfinite(mean)) and np.all(np.isfinite(cov))):
             raise IntegrationError("Gaussian block moments non-finite at "
                                    "t=%g" % grid.t1)
-        states = np.concatenate([res.state_det, res.state_stoch], axis=-1)
-        return states, mean, cov, res.llr
+        return res.state, mean, cov, res.llr
 
     states, mean, cov, llr = _chunk_map(pset, threads, phase)
     x2s, x3s = model.split(states)

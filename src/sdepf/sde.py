@@ -217,14 +217,14 @@ class BrownianIncrements:
         Returns:
             BrownianIncrements with values chol(Q(t_j) dt) @ noise_j.
         """
-        return cls(_scale_noise(grid, diffusion,
-                                np.asarray(noise, dtype=float), owned=False))
+        return cls(_scale_noise(grid, diffusion, np.array(noise, dtype=float)))
 
 
-def _scale_noise(grid, diffusion, noise, owned):
-    """chol(Q(t_j)) @ noise_j * sqrt(dt) of noise (..., n_steps, s), in
-    place if owned.  A 1x1 factor scales elementwise with mat_vec's bits
-    (the products commute; + 0.0 turns -0 into +0 as np.matmul does)."""
+def _scale_noise(grid, diffusion, noise):
+    """chol(Q(t_j)) @ noise_j * sqrt(dt) of noise (..., n_steps, s), which
+    the caller hands over: a 1x1 factor scales it in place, elementwise
+    with mat_vec's bits (the products commute; + 0.0 turns -0 into +0 as
+    np.matmul does), and a d x d one makes np.matmul's product."""
     if noise.shape[-2] != grid.n_steps:
         raise ValueError("noise has %d steps, grid has %d"
                          % (noise.shape[-2], grid.n_steps))
@@ -233,7 +233,7 @@ def _scale_noise(grid, diffusion, noise, owned):
     else:
         chol = np.stack([diffusion.chol(t) for t in grid.times[:-1]])
     if chol.shape[-2:] == (1, 1) and noise.shape[-1] == 1:
-        out = np.multiply(noise, chol[..., 0], out=noise if owned else None)
+        out = np.multiply(noise, chol[..., 0], out=noise)
         out += 0.0
     else:
         out = mat_vec(chol, noise)
@@ -243,6 +243,11 @@ def _scale_noise(grid, diffusion, noise, owned):
 
 def sample_brownian_increments(grid, diffusion, rng, n_paths=None):
     """Draw Brownian increments for every step of a grid.
+
+    The standard-normal block is one draw from rng, scaled into the
+    increments in place, bit for bit as BrownianIncrements.from_noise
+    scales it; so it is the one block-sized allocation (a d x d Q,
+    d > 1, adds np.matmul's product).
 
     Args:
         grid: TimeGrid.
@@ -260,8 +265,8 @@ def sample_brownian_increments(grid, diffusion, rng, n_paths=None):
     if s is None:
         s = diffusion.at(grid.t0).shape[0]
     shape = (grid.n_steps, s) if n_paths is None else (n_paths, grid.n_steps, s)
-    return BrownianIncrements.from_noise(grid, diffusion,
-                                         rng.standard_normal(shape))
+    return BrownianIncrements(_scale_noise(grid, diffusion,
+                                           rng.standard_normal(shape)))
 
 
 def _increment_values(incs, grid):

@@ -219,9 +219,8 @@ def test_04_bootstrap_reduction_bit_exact(capsys):
                                           n_paths=n)
         res = propagate_coupled_split(model, imp, x1, x2, grid, incs)
         all_zero = all_zero and bool(np.all(res.llr == 0.0))
-        assert np.array_equal(res.state_det, res.proposal_det)
-        assert np.array_equal(res.state_stoch, res.proposal_stoch)
-        x1, x2 = res.state_det, res.state_stoch
+        assert np.array_equal(res.state, res.proposal_state)
+        x1, x2 = model.split(res.state)
     detail = "log-weight exactly 0.0 for 256 particles over 10 intervals"
     assert report(capsys, 4, "bootstrap reduction", all_zero, detail), detail
 

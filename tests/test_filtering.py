@@ -7,13 +7,13 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.special import logsumexp
 
 from sdepf import (CondGaussModel, DiffusionSpec, FilterConfig, GaussianBlock,
-                   ParticleSet, SdeModel, TimeGrid, effective_sample_size,
-                   finish_step, gamma_poisson_family, gaussian_measurement,
-                   init_particle_set, invchi2_family, models,
-                   normalize_log_weights, prior_proposal, run_filter,
-                   seed_streams, sir_step, systematic_counts,
+                   ParticleSet, SdeModel, TimeGrid, finish_step,
+                   gamma_poisson_family, gaussian_measurement,
+                   init_particle_set, invchi2_family, models, prior_proposal,
+                   run_filter, seed_streams, sir_step, systematic_counts,
                    systematic_resample, systematic_resample_indices)
 from sdepf.exceptions import DegeneracyError, IntegrationError
 from sdepf.filtering import (_theta_quantiles, _uniform_quantile,
@@ -22,30 +22,44 @@ from sdepf.filtering import (_theta_quantiles, _uniform_quantile,
 from oracles import chain_kalman_filter, mixture_cdf, mixture_quantiles
 
 
+def _finish(loglik, llr=None):
+    """finish_step on an equally weighted population that never
+    resamples: the one place where weights are normalized and the ESS
+    is taken."""
+    n = len(loglik)
+    pset = ParticleSet(np.zeros((n, 1)), np.full(n, -np.log(n)), 0)
+    return finish_step(pset, pset.states,
+                       np.zeros(n) if llr is None else llr,
+                       np.asarray(loglik, dtype=float), t=1.0,
+                       ess_threshold=0.0)
+
+
 class TestNormalizeLogWeights:
+    """finish_step's normalization of the new log weights."""
+
     def test_hand_values(self):
-        # [DERIVED] exp(lw) = (1, 3): weights (0.25, 0.75) and
-        # log mean weight log((1 + 3)/2) = log 2.
-        w, log_mean = normalize_log_weights(np.log([1.0, 3.0]))
-        np.testing.assert_allclose(w, [0.25, 0.75], rtol=1e-15)
-        assert log_mean == pytest.approx(np.log(2.0), abs=1e-14)
+        # [DERIVED] factors exp(Lambda) = (1, 3) on uniform weights:
+        # weights (0.25, 0.75) and log-ML increment log((1 + 3)/2).
+        out, st_ = _finish(np.zeros(2), llr=np.log([1.0, 3.0]))
+        np.testing.assert_allclose(out.weights, [0.25, 0.75], rtol=1e-15)
+        assert st_.log_ml_increment == pytest.approx(np.log(2.0), abs=1e-14)
 
     def test_minus_inf_is_allowed(self):
-        w, log_mean = normalize_log_weights(np.array([0.0, -np.inf]))
-        np.testing.assert_array_equal(w, [1.0, 0.0])
-        assert log_mean == pytest.approx(-np.log(2.0), abs=1e-14)
+        out, st_ = _finish(np.array([0.0, -np.inf]))
+        np.testing.assert_array_equal(out.weights, [1.0, 0.0])
+        assert st_.log_ml_increment == pytest.approx(-np.log(2.0), abs=1e-14)
 
     def test_all_minus_inf_degenerates(self):
         with pytest.raises(DegeneracyError):
-            normalize_log_weights(np.array([-np.inf, -np.inf]))
+            _finish(np.zeros(2), llr=np.array([-np.inf, -np.inf]))
 
     def test_nan_raises(self):
         with pytest.raises(IntegrationError):
-            normalize_log_weights(np.array([0.0, np.nan]))
+            _finish(np.array([0.0, np.nan]))
 
     def test_plus_inf_raises(self):
         with pytest.raises(IntegrationError):
-            normalize_log_weights(np.array([0.0, np.inf]))
+            _finish(np.array([0.0, np.inf]))
 
     @settings(max_examples=50, deadline=None)
     @given(st.lists(st.floats(min_value=-30.0, max_value=30.0), min_size=2,
@@ -53,28 +67,28 @@ class TestNormalizeLogWeights:
            st.floats(min_value=-200.0, max_value=200.0))
     def test_shift_invariance(self, lw, shift):
         lw = np.array(lw)
-        w1, m1 = normalize_log_weights(lw)
-        w2, m2 = normalize_log_weights(lw + shift)
-        np.testing.assert_allclose(w1, w2, rtol=1e-10, atol=1e-15)
-        assert m2 - m1 == pytest.approx(shift, rel=1e-9, abs=1e-9)
-        assert np.sum(w1) == pytest.approx(1.0, abs=1e-12)
+        (out1, st1), (out2, st2) = _finish(lw), _finish(lw + shift)
+        np.testing.assert_allclose(out1.weights, out2.weights, rtol=1e-10,
+                                   atol=1e-15)
+        assert st2.log_ml_increment - st1.log_ml_increment \
+            == pytest.approx(shift, rel=1e-9, abs=1e-9)
+        assert np.sum(out1.weights) == pytest.approx(1.0, abs=1e-12)
 
 
 class TestEffectiveSampleSize:
+    """The ESS = 1 / sum(w^2) that finish_step reports."""
+
     def test_hand_value(self):
-        # [DERIVED] 1 / (0.25 + 0.0625 + 0.0625) = 8/3.
-        ess = effective_sample_size(np.array([0.5, 0.25, 0.25]))
-        assert ess == pytest.approx(8.0 / 3.0, rel=1e-14)
+        # [DERIVED] weights (0.5, 0.25, 0.25): 1 / (0.25 + 0.0625 +
+        # 0.0625) = 8/3.
+        _, st_ = _finish(np.log([2.0, 1.0, 1.0]))
+        assert st_.ess == pytest.approx(8.0 / 3.0, rel=1e-14)
 
     def test_uniform_gives_n(self):
-        assert effective_sample_size(np.full(10, 0.1)) == pytest.approx(10.0)
+        assert _finish(np.zeros(10))[1].ess == pytest.approx(10.0)
 
     def test_point_mass_gives_one(self):
-        assert effective_sample_size(np.array([1.0, 0.0])) == pytest.approx(1.0)
-
-    def test_rejects_unnormalized(self):
-        with pytest.raises(ValueError):
-            effective_sample_size(np.array([0.5, 0.2]))
+        assert _finish(np.array([0.0, -np.inf]))[1].ess == 1.0
 
 
 class TestSystematicResampling:
@@ -340,7 +354,7 @@ class TestFinishStep:
         # exp(lw) underflow to 0; the normalized weights and the ESS
         # must not notice, and the log-ML increment moves by the shift.
         prior, llr, loglik = np.array(rows).T
-        lw = prior - normalize_log_weights(prior)[1] - np.log(prior.size)
+        lw = prior - logsumexp(prior)
         assert np.all(np.exp(lw + llr + loglik - 1000.0) == 0.0)
         pset = ParticleSet(np.zeros((prior.size, 1)), lw, 0)
         ref, st_ref = finish_step(pset, pset.states, llr, loglik, t=1.0,
@@ -520,6 +534,11 @@ class TestRunFilter:
     def test_measurement_index_must_be_an_int(self, h):
         with pytest.raises(ValueError, match="measurement index"):
             gaussian_measurement(h, 0.25)
+
+    @pytest.mark.parametrize("var", [0.0, -0.25, np.nan, np.inf])
+    def test_measurement_variance_must_be_positive_and_finite(self, var):
+        with pytest.raises(ValueError, match="measurement variance"):
+            gaussian_measurement(0, var)
 
     def test_missing_initial_sampler_rejected(self):
         model = SdeModel(1, 1, lambda x, t: -x, 1.0, 1.0)
@@ -758,6 +777,21 @@ class TestRunFilterEdgeCases:
             run_filter(model, prior_proposal(model), meas, times, ys,
                        FilterConfig(n_particles=4, n_steps=2), method=method,
                        family=invchi2_family(3.0, 0.2))
+
+    @pytest.mark.parametrize("times, ys", [
+        ([1.0, np.nan], [0.0, 0.0]), ([np.nan], [0.0]),
+        ([1.0, np.inf], [0.0, 0.0]), ([1.0, 2.0], [0.0, np.nan]),
+    ], ids=["nan_time", "only_nan_time", "inf_time", "nan_reading"])
+    def test_non_finite_input_raises_before_any_work(self, times, ys):
+        # A NaN time passed the ordering checks and the initial sampler
+        # ran N times before TimeGrid refused it; a NaN reading reached
+        # its step and ended there as an IntegrationError.
+        model, _, _, (_, _, obs_var) = _ou_setup(n_meas=1)
+        model = dataclasses.replace(model, initial_sampler=_raising_sampler)
+        with pytest.raises(ValueError, match="must be finite"):
+            run_filter(model, prior_proposal(model),
+                       gaussian_measurement(0, obs_var), times, ys,
+                       FilterConfig(n_particles=4, n_steps=2))
 
     @pytest.mark.parametrize("method", METHODS)
     def test_threshold_zero_never_resamples(self, method):

@@ -88,7 +88,7 @@ class TestBootstrapReduction:
         res = propagate_coupled_split(model, imp, np.full((32, 1), 1.5),
                                       np.zeros((32, 1)), grid, incs)
         assert np.all(res.llr == 0.0)
-        np.testing.assert_array_equal(res.state_stoch, res.proposal_stoch)
+        np.testing.assert_array_equal(res.state, res.proposal_state)
 
 
 def _full_path_twin(model):
@@ -162,8 +162,7 @@ class TestPriorShortCut:
                                    _full_path_twin(model)))
         for res in (short, full):
             assert np.all(res.llr == 0.0) and not np.any(np.signbit(res.llr))
-        for name in ("state_det", "state_stoch", "proposal_det",
-                     "proposal_stoch", "llr", "model_noise"):
+        for name in ("state", "proposal_state", "llr", "model_noise"):
             _assert_same_bits(getattr(short, name), getattr(full, name))
 
 
@@ -227,8 +226,8 @@ class TestBridgeKeepsOnePair:
                                           n_paths=40)
         x1, x2 = model.split(states)
         res = propagate_coupled_split(model, imp, x1, x2, grid, incs)
-        _assert_same_bits(res.state_det, res.proposal_det)
-        _assert_same_bits(res.state_stoch, res.proposal_stoch)
+        assert res.proposal_state is res.state
+        assert res.state.shape == (40, 2)
         assert np.all(res.llr != 0.0)
         assert len(calls) == grid.n_steps
 
@@ -264,11 +263,8 @@ class TestOneLoop:
         b = propagate_coupled_split(split, imps[1], np.empty((30, 0)), x0,
                                     grid, incs, record_noise=True)
         assert np.all(a.llr == 0.0) == bootstrap
-        for name_a, name_b in (("state", "state_stoch"),
-                               ("proposal_state", "proposal_stoch"),
-                               ("llr", "llr"),
-                               ("model_noise", "model_noise")):
-            _assert_same_bits(getattr(a, name_a), getattr(b, name_b))
+        for name in ("state", "proposal_state", "llr", "model_noise"):
+            _assert_same_bits(getattr(a, name), getattr(b, name))
 
 
 class TestNonFiniteNaming:
@@ -440,6 +436,26 @@ class TestScaledProposal:
         np.testing.assert_allclose(res.proposal_state[:, 0],
                                    2.0 * incs.values.sum(axis=(1, 2)),
                                    rtol=0, atol=1e-12)
+
+
+    def test_one_dim_dispersion_is_its_diagonal(self):
+        # B is read by the model's rule for L: a 1-d constant is the
+        # diagonal matrix, not a singular row.
+        def drift(x, t):
+            return np.sin(x[..., ::-1]) - 0.5 * x
+
+        model = SdeModel(2, 2, drift, np.eye(2), np.diag([0.5, 1.2]))
+        grid = TimeGrid(0.0, 1.0, 10)
+        incs = sample_brownian_increments(grid, model.diffusion,
+                                          np.random.default_rng(3),
+                                          n_paths=12)
+        x0 = np.random.default_rng(4).normal(size=(12, 2))
+        diag, vec = (propagate_coupled(model, ImportanceSpec(drift, b), x0,
+                                       grid, incs)
+                     for b in (np.diag([1.0, 2.0]), np.array([1.0, 2.0])))
+        assert np.all(diag.llr != 0.0)
+        for name in ("state", "proposal_state", "llr"):
+            _assert_same_bits(getattr(vec, name), getattr(diag, name))
 
 
 class TestDiscretizationError:

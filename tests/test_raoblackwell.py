@@ -1,5 +1,6 @@
 """Marginalized filters: Kalman recursions and conjugate statistics."""
 
+import dataclasses
 import math
 import tracemalloc
 
@@ -12,8 +13,7 @@ from scipy import stats as sps
 from sdepf import (CondGaussModel, FilterConfig, GaussianBlock, ImportanceSpec,
                    ParticleSet, SdeModel, SplitSdeModel, TimeGrid,
                    eval_mixture, gamma_poisson_family, invchi2_family,
-                   kalman_update, models, prior_proposal,
-                   propagate_coupled_split, propagate_gaussian_block,
+                   models, prior_proposal, propagate_coupled_split,
                    repair_cov, run_filter, seed_streams)
 from sdepf.filtering import draw_increments
 from sdepf.exceptions import IntegrationError
@@ -25,12 +25,20 @@ from oracles import (epidemic_week1_posterior, gamma_poisson_marginal_quad,
                      invchi2_marginal_quad)
 
 
+def _kalman_update(block, h_mat, r_mat, y):
+    """rb_gauss_step's measurement update: the shared conditioning, then
+    repair_cov.  Returns (GaussianBlock, predicted mean, S)."""
+    mean, cov, pred, s_mat, _ = rb._gaussian_condition(block.mean, block.cov,
+                                                       h_mat, r_mat, y)
+    return GaussianBlock(mean, repair_cov(cov)), pred, s_mat
+
+
 class TestKalmanUpdate:
     def test_hand_values(self):
         # [DERIVED] m=1, P=0.5, H=1, R=0.5, y=0: S=1, gain=0.5,
         # m'=0.5, P'=0.25, predicted mean 1.
         block = GaussianBlock(np.array([[1.0]]), np.array([[[0.5]]]))
-        out, pred, s_mat = kalman_update(block, [[1.0]], 0.5, 0.0)
+        out, pred, s_mat = _kalman_update(block, [[1.0]], 0.5, 0.0)
         np.testing.assert_allclose(out.mean, [[0.5]], rtol=1e-15)
         np.testing.assert_allclose(out.cov, [[[0.25]]], rtol=1e-15)
         np.testing.assert_allclose(pred, [[1.0]], rtol=1e-15)
@@ -41,8 +49,8 @@ class TestKalmanUpdate:
         block = GaussianBlock(np.array([[1.0], [1.0], [1.0]]),
                               np.full((3, 1, 1), 0.5))
         r = np.array([0.5, 1.5, 4.5])
-        out, pred, s_mat = kalman_update(block, [[1.0]], r, 0.0)
-        ref, _, s_ref = kalman_update(block, [[1.0]], r[:, None, None], 0.0)
+        out, pred, s_mat = _kalman_update(block, [[1.0]], r, 0.0)
+        ref, _, s_ref = _kalman_update(block, [[1.0]], r[:, None, None], 0.0)
         assert out.mean.tobytes() == ref.mean.tobytes()
         assert s_mat.tobytes() == s_ref.tobytes()
         # [DERIVED] S = 0.5 + R = 1, 2, 5.
@@ -57,8 +65,8 @@ class TestKalmanUpdate:
         a = rng.normal(size=(6, 2, 2))
         cov = np.matmul(a, np.swapaxes(a, -1, -2)) + np.eye(2)
         h = np.array([[1.0, 0.5]])
-        block, pred_b, s_b = kalman_update(GaussianBlock(mean, cov), h,
-                                           0.3, 1.7)
+        block, pred_b, s_b = _kalman_update(GaussianBlock(mean, cov), h,
+                                            0.3, 1.7)
         moments = ekf_condition(GaussianBlock(mean.copy(), cov.copy()), h,
                                 0.3, 1.7)
         np.testing.assert_array_equal(block.mean, moments.mean)
@@ -67,44 +75,54 @@ class TestKalmanUpdate:
     def test_no_information_leaves_prior(self):
         # R huge relative to P: posterior barely moves.
         block = GaussianBlock(np.array([[2.0]]), np.array([[[0.5]]]))
-        out, _, _ = kalman_update(block, [[1.0]], 1e12, -50.0)
+        out, _, _ = _kalman_update(block, [[1.0]], 1e12, -50.0)
         assert out.mean[0, 0] == pytest.approx(2.0, abs=1e-9)
         assert out.cov[0, 0, 0] == pytest.approx(0.5, rel=1e-9)
 
 
 class TestPropagateGaussianBlock:
+    """rb._block_step, the Euler step of the conditional moment ODEs."""
+
     def test_pure_diffusion_variance_is_exact(self):
         # [TRIVIAL] F=0: P(T) = P0 + q T and the Euler sum of a constant
         # integrand is exact.
-        block = GaussianBlock(np.array([[1.5]]), np.array([[[0.2]]]))
-        dt = 0.05
-        for j in range(20):
-            block = propagate_gaussian_block(
-                block, np.zeros((1, 1, 1)), np.zeros((1, 1)),
-                np.ones((1, 1, 1)), np.array([[0.3]]), j * dt, dt)
-        assert block.mean[0, 0] == 1.5
-        assert block.cov[0, 0, 0] == pytest.approx(0.2 + 0.3, abs=1e-13)
+        mean, cov = np.array([[1.5]]), np.array([[[0.2]]])
+        for _ in range(20):
+            mean, cov = rb._block_step(mean, cov, np.zeros((1, 1, 1)),
+                                       np.zeros((1, 1)), np.ones((1, 1, 1)),
+                                       np.array([[0.3]]), 0.05)
+        assert mean[0, 0] == 1.5
+        assert cov[0, 0, 0] == pytest.approx(0.2 + 0.3, abs=1e-13)
 
     def test_linear_decay_matches_recursion(self):
         # [DERIVED] F=-1, dt=0.1, 10 steps: mean scales by
         # 0.9**10 = 0.34867844010000015.
-        block = GaussianBlock(np.array([[2.0]]), np.array([[[0.5]]]))
+        mean, cov = np.array([[2.0]]), np.array([[[0.5]]])
         p_ref = 0.5
-        for j in range(10):
-            block = propagate_gaussian_block(
-                block, -np.ones((1, 1, 1)), np.zeros((1, 1)),
-                np.ones((1, 1, 1)), np.array([[0.4]]), j * 0.1, 0.1)
+        for _ in range(10):
+            mean, cov = rb._block_step(mean, cov, -np.ones((1, 1, 1)),
+                                       np.zeros((1, 1)), np.ones((1, 1, 1)),
+                                       np.array([[0.4]]), 0.1)
             p_ref = p_ref + (-2.0 * p_ref + 0.4) * 0.1
-        assert block.mean[0, 0] == pytest.approx(2.0 * 0.34867844010000015,
-                                                 abs=1e-13)
-        assert block.cov[0, 0, 0] == pytest.approx(p_ref, abs=1e-13)
+        assert mean[0, 0] == pytest.approx(2.0 * 0.34867844010000015,
+                                           abs=1e-13)
+        assert cov[0, 0, 0] == pytest.approx(p_ref, abs=1e-13)
 
     def test_nonfinite_moments_raise(self):
-        block = GaussianBlock(np.array([[np.inf]]), np.array([[[0.5]]]))
-        with pytest.raises(IntegrationError):
-            propagate_gaussian_block(block, np.ones((1, 1, 1)),
-                                     np.zeros((1, 1)), np.ones((1, 1, 1)),
-                                     np.array([[0.1]]), 0.0, 0.1)
+        # An infinite shift f1 leaves the sampled states finite, so the
+        # kernel runs through and rb_gauss_step's own check of the
+        # moments at the interval's end raises.
+        model = dataclasses.replace(
+            _decoupled_cond_model(),
+            lin_shift=lambda x2, x3, t: np.full(x3.shape, np.inf))
+        pset = rb.init_rb_gauss_set(model, np.random.default_rng(3), 5)
+        with pytest.raises(IntegrationError, match=r"^Gaussian block "
+                                                   r"moments non-finite at "
+                                                   r"t=0\.5$"), \
+                np.errstate(invalid="ignore"):
+            rb.rb_gauss_step(pset, model, prior_proposal(model), 0.4,
+                             TimeGrid(0.0, 0.5, 4),
+                             noise_rng=np.random.default_rng(4))
 
 
 class TestRepairCov:
@@ -487,8 +505,7 @@ def test_rb_gauss_sampled_path_is_the_split_kernel(monkeypatch):
                                   incs)
     states, llr = seen[0]
     assert np.all(llr != 0.0)
-    expected = np.concatenate([ref.state_det, ref.state_stoch], axis=-1)
-    assert states.tobytes() == expected.tobytes()
+    assert states.tobytes() == ref.state.tobytes()
     assert llr.tobytes() == ref.llr.tobytes()
 
 
@@ -523,7 +540,7 @@ def test_rb_gauss_moments_move_from_each_step_start(monkeypatch):
         if j:
             res = propagate_coupled_split(split, imp, *split.split(pset.states),
                                           TimeGrid(0.0, t, j), incs[:, :j])
-            x2, x3 = res.state_det, res.state_stoch
+            x2, x3 = split.split(res.state)
         mean, cov = rb._block_step(mean, cov, model.lin_coeff(x2, x3, t),
                                    model.lin_shift(x2, x3, t),
                                    model.lin_noise(x2, x3, t),

@@ -10,7 +10,6 @@ from sdepf import (DiffusionSpec, SdeModel, SplitSdeModel, TimeGrid,
                    integrate_sde, sample_brownian_increments)
 from sdepf._linalg import mat_vec
 from sdepf.exceptions import DiffusionError, IntegrationError
-from sdepf.filtering import draw_increments
 from sdepf.sde import BrownianIncrements
 
 
@@ -91,9 +90,9 @@ class TestBrownianIncrements:
         np.testing.assert_allclose(incs.values, np.tile(row, (4, 1)),
                                    rtol=1e-15)
         # Bit for bit the product sqrt(dt) * mat_vec(chol, z), -0 included
-        # (mat_vec turns it into +0), and draw_increments's in-place
-        # scaling of its own block gives the same bits.  from_noise leaves
-        # its input as it was.
+        # (mat_vec turns it into +0), and sample_brownian_increments's
+        # in-place scaling of its own block gives the same bits.
+        # from_noise leaves its input as it was.
         z = np.random.default_rng(5).standard_normal((7, 4, len(row)))
         z[0, 0] = -0.0
         before = z.copy()
@@ -102,7 +101,8 @@ class TestBrownianIncrements:
         assert BrownianIncrements.from_noise(grid, spec, z).values.tobytes() \
             == ref.tobytes()
         assert z.tobytes() == before.tobytes()
-        drawn = draw_increments(grid, spec, np.random.default_rng(5), 7).values
+        drawn = sample_brownian_increments(
+            grid, spec, np.random.default_rng(5), n_paths=7).values
         assert drawn.tobytes() == BrownianIncrements.from_noise(
             grid, spec, np.random.default_rng(5).standard_normal(
                 (7, 4, len(row)))).values.tobytes()
