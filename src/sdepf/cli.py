@@ -28,9 +28,9 @@ from .filtering import (FilterConfig, gaussian_measurement, run_filter,
                         systematic_counts, systematic_resample_indices)
 from .girsanov import (ImportanceSpec, estimate_kl, prior_proposal,
                        propagate_coupled, propagate_coupled_split)
-from .proposals import build_bridge, ekf_condition, ekf_predict
-from .raoblackwell import (CondGaussModel, GaussianBlock,
-                           gamma_poisson_family, invchi2_family)
+from .proposals import ekf_bridge_builder
+from .raoblackwell import (CondGaussModel, gamma_poisson_family,
+                           invchi2_family)
 from .sde import SdeModel, TimeGrid, integrate_sde, sample_brownian_increments
 
 _FILTER_DEFAULTS = {"method": "", "particles": 1000, "steps_per_interval": 10,
@@ -143,6 +143,8 @@ def load_config(path, overrides):
                               % (key, filt[key]))
     if not (0.0 <= filt["ess_threshold"] <= 1.0):
         raise ConfigError("[filter] ess_threshold must be in [0, 1]")
+    if io["seed"] < 0:
+        raise ConfigError("[io] seed must be >= 0, got %d" % io["seed"])
     if io["threads"] < 1:
         raise ConfigError("[io] threads must be >= 1")
     if sim["n_meas"] < 1 or sim["dt"] <= 0 or sim["n_fine"] < 1:
@@ -237,21 +239,11 @@ def _constant_1x1(value):
 
 def _linear_bridge_builder(rate, q, obs_var):
     """Bridge builder for the scalar OU model (measurement of the state)."""
-
-    def drift(x, t):
-        return -rate * x
-
     jac = _constant_1x1(-rate)
-    q_mat = np.array([[float(q)]])
     h_row = np.array([1.0])
-
-    def builder(pset, grid, y):
-        mom = ekf_predict(GaussianBlock.from_states(pset.states), drift, jac,
-                          q_mat, grid)
-        mom = ekf_condition(mom, h_row, float(obs_var), y)
-        return build_bridge(pset.states, mom, grid.span, 0)
-
-    return builder
+    return ekf_bridge_builder(lambda x, t: (-rate * x, jac(x, t)),
+                              np.array([[float(q)]]), 0,
+                              lambda pset, y: (h_row, float(obs_var), y))
 
 
 def _ou_model(p):
@@ -663,39 +655,6 @@ def cmd_selftest(cfg):
         same = mat_mul(a, b).tobytes() == ref.tobytes() \
             and mat_vec(a, b[..., 0]).tobytes() == ref[..., 0].tobytes()
     checks.append(("1x1 products equal np.matmul bit for bit", same))
-
-    # From a Dirac start the EKF prediction of a linear model is the
-    # covariance of its Euler chain, A P A^T + Q dt with A = I + F dt,
-    # and positive semidefinite.
-    f_lin = np.array([[0.0, 1.0], [-2.0, -0.3]])
-    q_lin = np.diag([0.0, 0.5])
-    grid_e = TimeGrid(0.0, 1.0, 10)
-    pred = ekf_predict(GaussianBlock.from_states(np.ones((1, 2))),
-                       lambda x, t: x @ f_lin.T,
-                       lambda x, t: np.broadcast_to(f_lin, x.shape + (2,)),
-                       q_lin, grid_e)
-    a_lin = np.eye(2) + f_lin * grid_e.dt
-    p_ref = np.zeros((2, 2))
-    for _ in range(grid_e.n_steps):
-        p_ref = a_lin @ p_ref @ a_lin.T + q_lin * grid_e.dt
-    checks.append(("EKF prediction is the Euler chain's PSD covariance",
-                   np.allclose(pred.cov[0], p_ref, rtol=1e-12, atol=0.0)
-                   and np.linalg.eigvalsh(pred.cov[0]).min() >= 0.0))
-
-    # A bridge's scaled endpoint is its target m_k plus the summed model
-    # noise, N(m_k, q dt), whatever the model's drift.
-    n_b, m_b, var_b = 20000, 1.5, 0.5 * grid_e.span
-    model_b = SdeModel(1, 1, lambda x, t: -x, 1.0, 0.5)
-    x_b = np.zeros((n_b, 1))
-    imp_b = build_bridge(x_b, GaussianBlock.from_states(x_b + m_b),
-                         grid_e.span, 0)
-    incs_b = sample_brownian_increments(grid_e, model_b.diffusion,
-                                        np.random.default_rng(3), n_paths=n_b)
-    end = propagate_coupled(model_b, imp_b, x_b, grid_e, incs_b).state
-    z_mean = (end.mean() - m_b) / math.sqrt(var_b / n_b)
-    z_var = (end.var() / var_b - 1.0) / math.sqrt(2.0 / n_b)
-    checks.append(("bridge endpoint has mean m_k and variance q dt",
-                   abs(z_mean) < 4.0 and abs(z_var) < 4.0))
 
     failed = 0
     for name, passed in checks:

@@ -448,8 +448,9 @@ def run_filter(model, proposal, meas_model, times, ys, config, *,
                method="sir", family=None, cond_fn=None, step_callback=None):
     """Run a complete filter over a measurement sequence.
 
-    The method and its inputs are checked before any work; the initial
-    population and the step are then bound once for the whole run.
+    The config, the method and its inputs are checked before any work;
+    the initial population and the step are then bound once for the
+    whole run.
 
     Args:
         model: SdeModel or SplitSdeModel (methods "sir" and "rb_param"),
@@ -491,8 +492,15 @@ def run_filter(model, proposal, meas_model, times, ys, config, *,
                          "and start after t0")
     if ys.shape[:1] != times.shape:
         raise ValueError("ys must align with times")
-    if config.move_steps < 0:
-        raise ValueError("move_steps must be nonnegative")
+    for key, low in (("n_particles", 1), ("n_steps", 1), ("threads", 1),
+                     ("move_steps", 0)):
+        value = getattr(config, key)
+        if not isinstance(value, (int, np.integer)) or value < low:
+            raise ValueError("%s must be an int >= %d, got %r"
+                             % (key, low, value))
+    if not 0.0 <= config.ess_threshold <= 1.0:
+        raise ValueError("ess_threshold must be in [0, 1], got %r"
+                         % (config.ess_threshold,))
 
     from . import raoblackwell as rb
     n = config.n_particles

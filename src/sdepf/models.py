@@ -22,8 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .proposals import build_bridge, ekf_condition, ekf_predict
-from .raoblackwell import GaussianBlock
+from .proposals import ekf_bridge_builder
 from .sde import (SdeModel, SplitSdeModel, TimeGrid, integrate_sde,
                   sample_brownian_increments)
 
@@ -155,19 +154,12 @@ def pendulum_bridge_builder(a, q, obs_var):
     Returns:
         Builder callable (pset, grid, y) -> ImportanceSpec.
     """
-    drift = pendulum_drift(a)
-    jac = pendulum_jacobian(a)
-    q_mat = np.diag([0.0, float(q)])
+    drift, jac = pendulum_drift(a), pendulum_jacobian(a)
     h_row = np.array([1.0, 0.0])
-
-    def builder(pset, grid, y):
-        mom = ekf_predict(GaussianBlock.from_states(pset.states), drift, jac,
-                          q_mat, grid)
-        r = obs_var(pset) if callable(obs_var) else obs_var
-        mom = ekf_condition(mom, h_row, r, y)
-        return build_bridge(pset.states, mom, grid.span, 1)
-
-    return builder
+    r = obs_var if callable(obs_var) else lambda pset: obs_var
+    return ekf_bridge_builder(
+        lambda x, t: (drift(x, t), jac(x, t)), np.diag([0.0, float(q)]), 1,
+        lambda pset, y: (h_row, r(pset), y))
 
 
 # ---------------------------------------------------------------------------
@@ -370,48 +362,26 @@ def epidemic_bridge_builder(g, q, family):
     Returns:
         Builder callable (pset, grid, d) -> ImportanceSpec.
     """
-    raw_drift = epidemic_drift(g)
-    raw_jac = epidemic_jacobian(g)
-    q_mat = np.diag([0.0, 0.0, float(q)])
+    drift, jac = epidemic_drift(g), epidemic_jacobian(g)
 
-    def boxed(x):
-        out = np.array(x, dtype=float, copy=True)
-        out[..., :2] = np.clip(out[..., :2], 0.0, 1.0)
-        out[..., 2] = np.minimum(out[..., 2], EKF_LOG_RATE_CAP)
-        return out
+    def linearize(x, t):
+        boxed = np.array(x, dtype=float, copy=True)
+        boxed[..., :2] = np.clip(boxed[..., :2], 0.0, 1.0)
+        boxed[..., 2] = np.minimum(boxed[..., 2], EKF_LOG_RATE_CAP)
+        return drift(boxed, t), jac(boxed, t)
 
-    def builder(pset, grid, d):
-        # ekf_predict evaluates drift and Jacobian at the same mean, so box
-        # it once.  The one-slot cache belongs to this call, which keeps
-        # builders on concurrent chunks apart.
-        last = [None, None]
-
-        def boxed_once(x):
-            if last[0] is not x:
-                last[:] = [x, boxed(x)]
-            return last[1]
-
-        def drift(x, t):
-            return raw_drift(boxed_once(x), t)
-
-        def jac(x, t):
-            return raw_jac(boxed_once(x), t)
-
+    def measure(pset, d):
         n_hat = family.point_estimate(pset.stats)
-        c = pset.states[:, 0] + pset.states[:, 1]
-        mom = ekf_predict(GaussianBlock.from_states(pset.states), drift, jac,
-                          q_mat, grid)
-        n = pset.states.shape[0]
-        h = np.zeros((n, 1, 3))
+        h = np.zeros((pset.n, 1, 3))
         h[:, 0, 0] = -n_hat
         h[:, 0, 1] = -n_hat
         d = float(d)
         r = d + 1.0 + d * d / pset.stats[:, 0]
-        y_eff = (d - n_hat * c)[:, None]
-        mom = ekf_condition(mom, h, r, y_eff)
-        return build_bridge(pset.states, mom, grid.span, 2)
+        c = pset.states[:, 0] + pset.states[:, 1]
+        return h, r, (d - n_hat * c)[:, None]
 
-    return builder
+    return ekf_bridge_builder(linearize, np.diag([0.0, 0.0, float(q)]), 2,
+                              measure)
 
 
 @dataclass

@@ -1,22 +1,24 @@
 """Data-driven proposal construction from approximate Gaussian filtering.
 
-The recipe per particle and measurement interval: start an extended
-Kalman prediction from the particle's current state (a Dirac, so the
-initial covariance is zero), carry the covariance of the linearized
-Euler chain as a square-root factor so that it stays positive
-semidefinite, condition the predicted Gaussian on the upcoming
-measurement, and steer the noise-driven component toward the
-conditioned mean m_k with the constant drift
+One recipe builds every bridge, per particle and measurement interval:
+start an extended Kalman prediction from the particle's current state (a
+Dirac, so the initial covariance is zero), carry the covariance of the
+linearized Euler chain as a square-root factor so that it stays positive
+semidefinite, condition the predicted Gaussian on the upcoming (pseudo)
+measurement, and steer the noise-driven component toward the conditioned
+mean m_k with the constant drift
 
     g = (m_k - x_prev) / dt
 
-and the model's own dispersion L.  The filter weights and reports the
-scaled process ds* = L B^-1 ds, which always has dispersion L, so a
-proposal dispersion B would change only the drift s* sees; with B = L
-the endpoint of s* is m_k plus the model noise, N(m_k, q dt) per
-particle.  The EKF therefore supplies only the target mean.  The
-Girsanov weights are exact for any such proposal, so the EKF only has
-to be good and cheap: from a Dirac start it runs no eigendecomposition.
+and the model's own dispersion L.  A model declares only its
+linearization, process noise, steered component and measurement
+(ekf_bridge_builder).  The filter weights and reports the scaled process
+ds* = L B^-1 ds, which always has dispersion L, so a proposal dispersion
+B would change only the drift s* sees; with B = L the endpoint of s* is
+m_k plus the model noise, N(m_k, q dt) per particle.  The EKF therefore
+supplies only the target mean.  The Girsanov weights are exact for any
+such proposal, so the EKF only has to be good and cheap: it linearizes
+once per Euler step and runs no eigendecomposition of a covariance.
 """
 
 import numpy as np
@@ -26,11 +28,13 @@ from .exceptions import IntegrationError
 from .girsanov import ImportanceSpec
 from .raoblackwell import GaussianBlock, _gaussian_condition
 
-__all__ = ["ekf_predict", "ekf_condition", "build_bridge"]
+__all__ = ["ekf_predict", "ekf_condition", "build_bridge",
+           "ekf_bridge_builder"]
 
 
-def ekf_predict(moments, drift, jacobian, q_mat, grid):
-    """Extended Kalman prediction along the linearized Euler chain.
+def ekf_predict(x0, linearize, q_mat, grid):
+    """Extended Kalman prediction from a Dirac start along the linearized
+    Euler chain.
 
     Each Euler step x <- x + f(x, t) dt + L dbeta, linearized at the
     running mean, moves the moments by
@@ -43,16 +47,16 @@ def ekf_predict(moments, drift, jacobian, q_mat, grid):
     A and appends the columns sqrt(dt) L_Q, where Q = L_Q L_Q^T keeps
     the positive eigenvalues of Q.  So the prediction is positive
     semidefinite by construction and needs no repair.  The factor's
-    width, n columns for the initial covariance plus rank(Q) per step,
+    width, n zero columns for the Dirac start plus rank(Q) per step,
     depends on shapes only, so each particle's arithmetic is the same
     however the particles are batched.
 
     Args:
-        moments: GaussianBlock at grid.t0.  A nonzero initial covariance is
-            factored by an eigendecomposition whose negative eigenvalues
-            count as zero.
-        drift: callable (x, t) -> (..., n), the full-state drift.
-        jacobian: callable (x, t) -> (..., n, n), its state Jacobian.
+        x0: states at grid.t0, (..., n); the prediction starts from a
+            Dirac at each.
+        linearize: callable (x, t) -> (f, F), the full-state drift
+            (..., n) and its state Jacobian (..., n, n) at the same
+            point; called once per step at the running mean.
         q_mat: process noise covariance injected per unit time, (n, n)
             (zeros on noise-free components); its negative eigenvalues
             count as zero.
@@ -65,8 +69,7 @@ def ekf_predict(moments, drift, jacobian, q_mat, grid):
         IntegrationError: if q_mat, the drift or the moments are not
             finite.
     """
-    mean = np.asarray(moments.mean, dtype=float).copy()
-    cov = np.asarray(moments.cov, dtype=float)
+    mean = np.asarray(x0, dtype=float)
     n = mean.shape[-1]
     dt = grid.dt
     q_mat = np.asarray(q_mat, dtype=float)
@@ -76,19 +79,18 @@ def ekf_predict(moments, drift, jacobian, q_mat, grid):
     keep = w > 0.0
     step_cols = np.sqrt(dt) * (v[:, keep] * np.sqrt(w[keep]))
     r = step_cols.shape[-1]
-    batch = np.broadcast_shapes(mean.shape[:-1], cov.shape[:-2])
     # Two factor buffers written in turn.  Both hold step_cols in every
     # step's columns up front: step j writes only the n + j r columns
     # before its own into the other buffer, so those stay valid there.
-    fac = np.empty(batch + (n, n + grid.n_steps * r))
+    fac = np.zeros(mean.shape[:-1] + (n, n + grid.n_steps * r))
     fac[..., n:] = np.tile(step_cols, grid.n_steps)
     spare = fac.copy()
-    fac[..., :n] = _psd_factor(cov)
     with np.errstate(over="ignore", invalid="ignore"):
         for j in range(grid.n_steps):
             t = grid.t0 + j * dt
-            f_val = np.asarray(drift(mean, t), dtype=float)
-            f_jac = np.asarray(jacobian(mean, t), dtype=float)
+            f_val, f_jac = linearize(mean, t)
+            f_val = np.asarray(f_val, dtype=float)
+            f_jac = np.asarray(f_jac, dtype=float)
             if not (np.all(np.isfinite(f_val)) and np.all(np.isfinite(f_jac))):
                 raise IntegrationError("EKF drift non-finite at t=%g" % t)
             a_mat = np.multiply(f_jac, dt, order="C")
@@ -101,17 +103,6 @@ def ekf_predict(moments, drift, jacobian, q_mat, grid):
     if not (np.all(np.isfinite(mean)) and np.all(np.isfinite(cov))):
         raise IntegrationError("EKF moments non-finite at t=%g" % grid.t1)
     return GaussianBlock(mean, cov)
-
-
-def _psd_factor(cov):
-    """Square factors G with G G^T = cov, negative eigenvalues counted as
-    zero; all-zero covariances (Dirac moments) skip the eigh."""
-    fac = np.zeros(cov.shape)
-    nonzero = np.any(cov != 0.0, axis=(-2, -1))
-    if np.any(nonzero):
-        w, v = np.linalg.eigh(cov[nonzero])
-        fac[nonzero] = v * np.sqrt(np.maximum(w, 0.0))[..., None, :]
-    return fac
 
 
 def ekf_condition(moments, h_mat, r_mat, y):
@@ -169,3 +160,29 @@ def build_bridge(x_prev, posterior, dt, index):
         return np.broadcast_to(g_const[..., None], np.shape(block))
 
     return ImportanceSpec(drift=drift, dispersion=None)
+
+
+def ekf_bridge_builder(linearize, q_mat, index, measure):
+    """Bridge proposal builder from a model's declared linearization.
+
+    Per interval: ekf_predict from the particles' states, ekf_condition
+    on the (pseudo) reading that measure gives, and build_bridge toward
+    the conditioned mean.
+
+    Args:
+        linearize: callable (x, t) -> (f, F), as ekf_predict takes it.
+        q_mat: process noise covariance per unit time, (n, n).
+        index: the state component the Brownian noise drives.
+        measure: callable (pset, y) -> (H, R, y'): the reading
+            y' = H x + N(0, R) the prediction is conditioned on, in the
+            forms ekf_condition takes.
+
+    Returns:
+        Builder callable (pset, grid, y) -> ImportanceSpec.
+    """
+    def builder(pset, grid, y):
+        mom = ekf_predict(pset.states, linearize, q_mat, grid)
+        mom = ekf_condition(mom, *measure(pset, y))
+        return build_bridge(pset.states, mom, grid.span, index)
+
+    return builder

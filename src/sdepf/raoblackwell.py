@@ -58,13 +58,6 @@ class GaussianBlock:
     mean: np.ndarray
     cov: np.ndarray
 
-    @classmethod
-    def from_states(cls, states):
-        """Dirac moments at the given states (zero covariance)."""
-        states = np.asarray(states, dtype=float)
-        n = states.shape[-1]
-        return cls(states.copy(), np.zeros(states.shape[:-1] + (n, n)))
-
 
 @dataclass
 class CondGaussModel:

@@ -610,6 +610,28 @@ measurements = %s
     assert "header" in res.stderr
 
 
+@pytest.mark.parametrize("command, source", [
+    ("simulate", "flag"), ("filter", "flag"), ("kl", "flag"),
+    ("filter", "ini")])
+def test_negative_seed_exits_2(tmp_path, command, source):
+    # SeedSequence refused -1 only inside the run, which ended with exit 3
+    # "numerical failure: expected non-negative integer".
+    meas = tmp_path / "m.csv"
+    meas.write_text("t,y\n0.5,0.1\n1.0,0.2\n", encoding="utf-8")
+    cfg = write_config(tmp_path / "f.ini", """
+[model]
+kind = ou
+
+[io]
+measurements = %s
+out = %s
+%s""" % (meas, tmp_path, "seed = -1\n" if source == "ini" else ""))
+    flag = ["--seed", "-1"] if source == "flag" else []
+    res = run_cli(command, "--config", cfg, *flag)
+    assert res.returncode == 2, res.stderr
+    assert "configuration error: [io] seed must be >= 0, got -1" in res.stderr
+
+
 def test_non_monotone_measurement_times_exit_2(tmp_path):
     meas = tmp_path / "m.csv"
     meas.write_text("t,y\n1.0,0.1\n0.5,0.2\n", encoding="utf-8")

@@ -615,9 +615,18 @@ class TestDrawIncrements:
 def _method_case(case):
     """(model, proposal, meas_model, times, ys, run_filter kwargs) for a
     tiny instance of each filter method.  "sir_split" is method "sir" on
-    a split model.  The pendulum cases use the per-particle bridge
-    builder, which runs once per chunk."""
+    a split model; "epidemic" is method "rb_param" on the epidemic with
+    its count bridge.  The pendulum and epidemic cases use per-particle
+    bridge builders, which run once per chunk."""
     times = np.array([0.3, 0.6, 0.9])
+    if case == "epidemic":
+        model = models.epidemic_model(
+            1.0, 0.001, initial_sampler=models.epidemic_init_sampler())
+        fam = gamma_poisson_family(10.0, 0.001)
+        return (model, models.epidemic_bridge_builder(1.0, 0.001, fam), None,
+                times, np.array([25, 30, 40]),
+                {"method": "rb_param", "family": fam,
+                 "cond_fn": models.epidemic_theta})
     if case == "sir":
         model = SdeModel(1, 1, lambda x, t: -x, 1.0, 0.5,
                          initial_sampler=lambda g: g.normal(size=1))
@@ -678,7 +687,7 @@ def _assert_same_summaries(ref, res):
 
 class TestThreadInvariance:
     @pytest.mark.parametrize("n", (1, 2, 3, 5, 17))
-    @pytest.mark.parametrize("method", METHODS)
+    @pytest.mark.parametrize("method", METHODS + ("epidemic",))
     def test_summaries_bit_identical(self, method, n):
         # N < 2 * threads runs as one chunk; larger N splits into chunks.
         # A high threshold makes later intervals start from resampled sets.
@@ -777,6 +786,30 @@ class TestRunFilterEdgeCases:
             run_filter(model, prior_proposal(model), meas, times, ys,
                        FilterConfig(n_particles=4, n_steps=2), method=method,
                        family=invchi2_family(3.0, 0.2))
+
+    @pytest.mark.parametrize("key, value, match", [
+        ("n_particles", 2.5, "n_particles must be an int >= 1"),
+        ("n_steps", 0, "n_steps must be an int >= 1"),
+        ("n_steps", 2.5, "n_steps must be an int >= 1"),
+        ("threads", 0, "threads must be an int >= 1"),
+        ("threads", 1.0, "threads must be an int >= 1"),
+        ("move_steps", -1, "move_steps must be an int >= 0"),
+        ("ess_threshold", float("nan"), "ess_threshold must be in"),
+        ("ess_threshold", 2.0, "ess_threshold must be in"),
+        ("ess_threshold", -0.1, "ess_threshold must be in"),
+    ])
+    def test_bad_config_raises_before_any_work(self, key, value, match):
+        # n_steps = 0 or 2.5 used to draw all N initial states and then
+        # fail in TimeGrid or with a TypeError, n_particles = 2.5 raised
+        # a TypeError; threads = 0 and a NaN threshold ran silently, and
+        # a threshold of 2 resampled every step.
+        model, times, ys, (_, _, obs_var) = _ou_setup(n_meas=1)
+        model = dataclasses.replace(model, initial_sampler=_raising_sampler)
+        cfg = dataclasses.replace(FilterConfig(n_particles=4, n_steps=2),
+                                  **{key: value})
+        with pytest.raises(ValueError, match=match):
+            run_filter(model, prior_proposal(model),
+                       gaussian_measurement(0, obs_var), times, ys, cfg)
 
     @pytest.mark.parametrize("times, ys", [
         ([1.0, np.nan], [0.0, 0.0]), ([np.nan], [0.0]),

@@ -3,7 +3,8 @@
 import numpy as np
 import pytest
 
-from sdepf import FilterConfig, GaussianBlock, gamma_poisson_family
+from sdepf import FilterConfig, gamma_poisson_family
+from sdepf.cli import _linear_bridge_builder
 from sdepf.filtering import ParticleSet
 from sdepf.proposals import build_bridge, ekf_condition, ekf_predict
 from sdepf.models import (CountSeries, EKF_LOG_RATE_CAP, epidemic_drift,
@@ -237,18 +238,38 @@ class TestEpidemicBridge:
         assert np.all(np.isfinite(g))
 
 
-    def test_boxing_once_per_step_keeps_the_bits(self):
-        # The builder boxes each EKF mean once and shares it between the
-        # drift and the Jacobian; the result equals boxing for each call.
+class TestBridgeRecipe:
+    @staticmethod
+    def _recipe_case(kind):
+        """(builder, pset, y, hand-composed spec, steered block) for one
+        of the three named bridge builders at six scattered particles."""
         rng = np.random.default_rng(5)
+        grid = TimeGrid(0.0, 1.0, 10)
+        if kind == "ou":
+            states = rng.normal(0.0, 2.0, (6, 1))
+            pset = ParticleSet(states, np.full(6, -np.log(6.0)), 0)
+            mom = ekf_predict(states, lambda x, t: (
+                -0.6 * x, np.full(x.shape + (1,), -0.6)),
+                np.array([[0.8]]), grid)
+            mom = ekf_condition(mom, np.array([1.0]), 0.25, 0.7)
+            return (_linear_bridge_builder(0.6, 0.8, 0.25), pset, 0.7,
+                    build_bridge(states, mom, 1.0, 0), states[:, 0:1])
+        if kind == "pendulum":
+            states = rng.normal(0.0, 1.0, (6, 2))
+            r = 0.1 + 0.05 * np.arange(6)
+            pset = ParticleSet(states, np.full(6, -np.log(6.0)), 0)
+            drift, jac = pendulum_drift(1.2), pendulum_jacobian(1.2)
+            mom = ekf_predict(states, lambda x, t: (drift(x, t), jac(x, t)),
+                              np.diag([0.0, 0.05]), grid)
+            mom = ekf_condition(mom, np.array([1.0, 0.0]), r, 0.4)
+            return (pendulum_bridge_builder(1.2, 0.05, lambda ps: r), pset,
+                    0.4, build_bridge(states, mom, 1.0, 1), states[:, 1:])
         states = np.column_stack([rng.uniform(-0.1, 1.1, 6),
                                   rng.uniform(-0.1, 0.3, 6),
                                   rng.normal(1.0, 2.0, 6)])
         fam = gamma_poisson_family(10.0, 0.001)
         pset = ParticleSet(states, np.full(6, -np.log(6.0)), 0,
                            stats=fam.init_stats(6))
-        grid = TimeGrid(0.0, 1.0, 10)
-        imp = epidemic_bridge_builder(1.0, 0.001, fam)(pset, grid, 40)
 
         def boxed(x):
             out = x.copy()
@@ -257,9 +278,8 @@ class TestEpidemicBridge:
             return out
 
         drift, jac = epidemic_drift(1.0), epidemic_jacobian(1.0)
-        mom = ekf_predict(GaussianBlock.from_states(states),
-                          lambda x, t: drift(boxed(x), t),
-                          lambda x, t: jac(boxed(x), t),
+        mom = ekf_predict(states, lambda x, t: (drift(boxed(x), t),
+                                                jac(boxed(x), t)),
                           np.diag([0.0, 0.0, 0.001]), grid)
         n_hat = fam.point_estimate(pset.stats)
         h = np.zeros((6, 1, 3))
@@ -268,10 +288,20 @@ class TestEpidemicBridge:
         # Negative binomial predictive variance d + 1 + d^2 / alpha.
         r = np.full((6, 1, 1), 41.0 + 1600.0 / 10.0)
         mom = ekf_condition(mom, h, r, y_eff)
-        ref = build_bridge(states, mom, 1.0, 2)
+        return (epidemic_bridge_builder(1.0, 0.001, fam), pset, 40,
+                build_bridge(states, mom, 1.0, 2), states[:, 2:])
+
+    @pytest.mark.parametrize("kind", ["ou", "pendulum", "epidemic"])
+    def test_builder_equals_hand_composed_recipe(self, kind):
+        # Each named builder is the one EKF bridge recipe, predict ->
+        # condition -> bridge, composed here by hand; the epidemic
+        # linearization boxes each mean once for the drift and the
+        # Jacobian, the hand-composed one boxes it for each.
+        builder, pset, y, ref, block = self._recipe_case(kind)
+        imp = builder(pset, TimeGrid(0.0, 1.0, 10), y)
         assert imp.dispersion is None and ref.dispersion is None
-        g = imp.drift(None, states[:, 2:], 0.0)
-        assert g.tobytes() == ref.drift(None, states[:, 2:], 0.0).tobytes()
+        g = imp.drift(block, 0.0)
+        assert g.tobytes() == ref.drift(block, 0.0).tobytes()
 
 
 class TestEpidemicPredict:

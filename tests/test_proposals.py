@@ -17,73 +17,83 @@ from sdepf.models import pendulum_drift, pendulum_jacobian
 from oracles import chain_kalman_filter
 
 
+def _linear(f_mat):
+    """linearize callable of the linear drift x -> F x."""
+    n = f_mat.shape[0]
+    return lambda x, t: (x @ f_mat.T, np.broadcast_to(f_mat, x.shape + (n,)))
+
+
+def _zero_drift(x, t):
+    return np.zeros_like(x), np.zeros(x.shape + (x.shape[-1],))
+
+
 class TestEkfPredict:
     def test_dirac_start_gains_process_noise(self):
         # [TRIVIAL] Zero drift: after n steps the covariance is q * T.
-        moments = GaussianBlock.from_states(np.array([[1.0, -2.0]]))
-        np.testing.assert_array_equal(moments.cov, np.zeros((1, 2, 2)))
         q = np.diag([0.0, 0.3])
         grid = TimeGrid(0.0, 0.5, 10)
-        out = ekf_predict(moments,
-                          lambda x, t: np.zeros_like(x),
-                          lambda x, t: np.zeros(x.shape + (2,)), q, grid)
+        out = ekf_predict(np.array([[1.0, -2.0]]), _zero_drift, q, grid)
         np.testing.assert_array_equal(out.mean, [[1.0, -2.0]])
         np.testing.assert_allclose(out.cov[0], q * 0.5, atol=1e-14)
 
     def test_linear_model_matches_manual_recursion(self):
         a = -0.7
         grid = TimeGrid(0.0, 1.0, 8)
-        moments = GaussianBlock(np.array([[2.0]]), np.array([[[0.5]]]))
-        out = ekf_predict(moments,
-                          lambda x, t: a * x,
-                          lambda x, t: np.full(x.shape + (1,), a),
+        out = ekf_predict(np.array([[2.0]]), _linear(np.array([[a]])),
                           np.array([[0.4]]), grid)
-        m, p = 2.0, 0.5
+        m, p = 2.0, 0.0
         for _ in range(8):
             p = (1.0 + a * grid.dt) ** 2 * p + 0.4 * grid.dt
             m = m + a * m * grid.dt
         assert out.mean[0, 0] == pytest.approx(m, abs=1e-14)
         assert out.cov[0, 0, 0] == pytest.approx(p, abs=1e-14)
 
+    def test_linearizes_once_per_step_at_the_running_mean(self):
+        # One (f, F) evaluation per Euler step, at m_j with
+        # m_{j+1} = m_j + f(m_j, t_j) dt, and at t_j = t0 + j dt.
+        grid = TimeGrid(0.2, 0.9, 7)
+        x0 = np.array([[1.5, 0.0], [-0.3, 0.8]])
+        drift, jac = pendulum_drift(1.3), pendulum_jacobian(1.3)
+        seen = []
+
+        def linearize(x, t):
+            seen.append((x.copy(), t))
+            return drift(x, t), jac(x, t)
+
+        out = ekf_predict(x0, linearize, np.diag([0.0, 0.4]), grid)
+        assert len(seen) == grid.n_steps
+        mean = x0
+        for j, (x, t) in enumerate(seen):
+            assert t == grid.t0 + j * grid.dt
+            assert x.tobytes() == mean.tobytes()
+            mean = mean + drift(mean, t) * grid.dt
+        assert out.mean.tobytes() == mean.tobytes()
+
     @staticmethod
-    def _linear_predict(f_mat, q_mat, p0, grid):
-        n = f_mat.shape[0]
-        start = GaussianBlock(np.ones((1, n)), np.asarray(p0)[None])
-        return ekf_predict(start, lambda x, t: x @ f_mat.T,
-                           lambda x, t: np.broadcast_to(f_mat, x.shape + (n,)),
+    def _linear_predict(f_mat, q_mat, grid):
+        return ekf_predict(np.ones((1, f_mat.shape[0])), _linear(f_mat),
                            q_mat, grid)
 
     @staticmethod
-    def _euler_chain_cov(f_mat, q_mat, p0, grid):
+    def _euler_chain_cov(f_mat, q_mat, grid):
         a_mat = np.eye(f_mat.shape[0]) + f_mat * grid.dt
-        p = np.asarray(p0, dtype=float)
+        p = np.zeros_like(f_mat)
         for _ in range(grid.n_steps):
             p = a_mat @ p @ a_mat.T + q_mat * grid.dt
         return p
 
-    @pytest.mark.parametrize("p0_scale", [0.0, 1.0])
-    def test_three_dim_rank_one_noise_matches_euler_chain(self, p0_scale):
+    def test_three_dim_rank_one_noise_matches_euler_chain(self):
         # The prediction is the Kalman prediction of the Euler chain that
-        # the kernels simulate, from a Dirac start and from a full P0.
+        # the kernels simulate.
         rng = np.random.default_rng(12)
         f_mat = rng.normal(size=(3, 3))
         ell = rng.normal(size=(3, 1))
         q_mat = ell @ ell.T
-        b = rng.normal(size=(3, 3))
-        p0 = p0_scale * (b @ b.T)
         grid = TimeGrid(0.0, 0.8, 7)
-        out = self._linear_predict(f_mat, q_mat, p0, grid)
-        ref = self._euler_chain_cov(f_mat, q_mat, p0, grid)
+        out = self._linear_predict(f_mat, q_mat, grid)
+        ref = self._euler_chain_cov(f_mat, q_mat, grid)
         np.testing.assert_allclose(out.cov[0], ref, rtol=1e-13,
                                    atol=1e-13 * np.abs(ref).max())
-
-    def test_indefinite_p0_counts_as_its_psd_part(self):
-        # [DERIVED] diag(2, -1) enters as diag(2, 0); with F = 0 and Q = 0
-        # nothing else changes.
-        out = self._linear_predict(np.zeros((2, 2)), np.zeros((2, 2)),
-                                   np.diag([2.0, -1.0]), TimeGrid(0.0, 1.0, 3))
-        np.testing.assert_allclose(out.cov[0], np.diag([2.0, 0.0]),
-                                   rtol=1e-15, atol=0.0)
 
     def test_two_steps_from_dirac_stay_psd(self):
         # [DERIVED] Pendulum-shaped F = [[0, 1], [c, 0]], Q = diag(0, q),
@@ -94,7 +104,7 @@ class TestEkfPredict:
         # determinant -q^2 dt^4 is negative.
         f_mat = np.array([[0.0, 1.0], [-0.8, 0.0]])
         out = self._linear_predict(f_mat, np.diag([0.0, 1.0]),
-                                   np.zeros((2, 2)), TimeGrid(0.0, 1.0, 2))
+                                   TimeGrid(0.0, 1.0, 2))
         np.testing.assert_allclose(out.cov[0], [[0.125, 0.25], [0.25, 1.0]],
                                    rtol=1e-15)
         assert np.linalg.eigvalsh(out.cov[0]).min() > 0.0
@@ -111,8 +121,7 @@ class TestEkfPredict:
         # any F, any (possibly rank-deficient) Q, step size and count.
         f_mat, ell, span, n_steps = case
         q_mat = ell @ ell.T
-        out = self._linear_predict(f_mat, q_mat, np.zeros_like(f_mat),
-                                   TimeGrid(0.0, span, n_steps))
+        out = self._linear_predict(f_mat, q_mat, TimeGrid(0.0, span, n_steps))
         cov = out.cov[0]
         np.testing.assert_array_equal(cov, cov.T)
         assert np.linalg.eigvalsh(cov).min() >= -1e-13 * np.trace(cov)
@@ -121,10 +130,10 @@ class TestEkfPredict:
         # Each particle's arithmetic is the same in any batch, which the
         # chunked builders rely on for thread invariance.
         states = np.random.default_rng(3).normal(size=(7, 2))
+        drift, jac = pendulum_drift(1.0), pendulum_jacobian(1.0)
 
         def predict(x):
-            return ekf_predict(GaussianBlock.from_states(x),
-                               pendulum_drift(1.0), pendulum_jacobian(1.0),
+            return ekf_predict(x, lambda m, t: (drift(m, t), jac(m, t)),
                                np.diag([0.0, 0.4]), TimeGrid(0.0, 0.3, 10))
 
         whole = predict(states)
@@ -134,25 +143,20 @@ class TestEkfPredict:
             assert part.mean.tobytes() == whole.mean[sl].tobytes()
 
     def test_nonfinite_drift_raises(self):
-        moments = GaussianBlock.from_states(np.array([[1.0]]))
         with pytest.raises(IntegrationError):
-            ekf_predict(moments, lambda x, t: x * np.nan,
-                        lambda x, t: np.zeros(x.shape + (1,)),
+            ekf_predict(np.array([[1.0]]),
+                        lambda x, t: (x * np.nan, np.zeros(x.shape + (1,))),
                         np.array([[0.1]]), TimeGrid(0.0, 1.0, 2))
 
     def test_nonfinite_process_noise_raises(self):
         # A NaN in Q must not vanish with the eigenvalues it spoils.
         with pytest.raises(IntegrationError):
-            ekf_predict(GaussianBlock.from_states(np.array([[1.0, 0.0]])),
-                        lambda x, t: np.zeros_like(x),
-                        lambda x, t: np.zeros(x.shape + (2,)),
+            ekf_predict(np.array([[1.0, 0.0]]), _zero_drift,
                         np.diag([0.0, np.nan]), TimeGrid(0.0, 1.0, 2))
 
     def test_batched_over_particles(self):
         states = np.array([[0.0], [1.0], [2.0]])
-        out = ekf_predict(GaussianBlock.from_states(states),
-                          lambda x, t: -x,
-                          lambda x, t: np.full(x.shape + (1,), -1.0),
+        out = ekf_predict(states, _linear(np.array([[-1.0]])),
                           np.array([[0.2]]), TimeGrid(0.0, 0.4, 4))
         assert out.mean.shape == (3, 1)
         assert out.cov.shape == (3, 1, 1)
