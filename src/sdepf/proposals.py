@@ -180,6 +180,8 @@ def ekf_bridge_builder(linearize, q_mat, index, measure):
     Returns:
         Builder callable (pset, grid, y) -> ImportanceSpec.
     """
+    # The three steps are looked up as module globals on every call, so
+    # a wrapper set on this module's binding sees every builder's calls.
     def builder(pset, grid, y):
         mom = ekf_predict(pset.states, linearize, q_mat, grid)
         mom = ekf_condition(mom, *measure(pset, y))
