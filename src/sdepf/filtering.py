@@ -362,7 +362,6 @@ class FilterConfig:
         threads: worker threads for the propagation phase.  Results are
             identical for any thread count: each interval's noise block
             is drawn before the particles are split across threads.
-        t0: time of the initial state (first interval is [t0, times[0]]).
         move_steps: resample-move sweeps for method "rb_param" (0 turns
             the move off).  After each resampling, every particle gets
             this many Metropolis-Hastings sweeps over its path
@@ -372,7 +371,7 @@ class FilterConfig:
             posterior invariant.  Sweeps draw from a fifth seed-tree
             child, so with 0 nothing extra is stored or drawn and runs
             are unchanged.  Cost per resampling is about 2 * move_steps
-            re-simulations of every path from t0.
+            re-simulations of every path from t = 0.
     """
 
     n_particles: int
@@ -380,7 +379,6 @@ class FilterConfig:
     ess_threshold: float = 0.5
     seed: int = 0
     threads: int = 1
-    t0: float = 0.0
     move_steps: int = 0
 
 
@@ -463,7 +461,8 @@ def run_filter(model, proposal, meas_model, times, ys, config, *,
         meas_model: MeasurementModel, required by "sir"; ignored for
             "rb_gauss" (the model carries H and R) and "rb_param" (the
             family marginal is the likelihood).
-        times: finite, strictly increasing measurement times > config.t0.
+        times: finite, strictly increasing measurement times > 0; the
+            initial population is at t = 0.
         ys: finite measurements aligned with times.
         config: FilterConfig.
         method: "sir", "rb_gauss" or "rb_param".
@@ -487,9 +486,9 @@ def run_filter(model, proposal, meas_model, times, ys, config, *,
     if not (np.all(np.isfinite(times))
             and np.all(np.isfinite(np.asarray(ys, dtype=float)))):
         raise ValueError("measurement times and values must be finite")
-    if times.size and (times[0] <= config.t0 or np.any(np.diff(times) <= 0)):
+    if times.size and (times[0] <= 0.0 or np.any(np.diff(times) <= 0)):
         raise ValueError("measurement times must be strictly increasing "
-                         "and start after t0")
+                         "and positive (the filter starts at t = 0)")
     if ys.shape[:1] != times.shape:
         raise ValueError("ys must align with times")
     for key, low in (("n_particles", 1), ("n_steps", 1), ("threads", 1),
@@ -563,9 +562,9 @@ def run_filter(model, proposal, meas_model, times, ys, config, *,
         return SummaryRow(k=k, t=t, mean=mean, var=var, ess=ess,
                           log_marginal=log_ml, resampled=resampled, extra=extra)
 
-    summaries = [summarize(pset, 0, config.t0, float(pset.n), 0.0, False)]
+    summaries = [summarize(pset, 0, 0.0, float(pset.n), 0.0, False)]
     log_ml = 0.0
-    t_prev = config.t0
+    t_prev = 0.0
     for k, (t_k, y_k) in enumerate(zip(times, ys), start=1):
         grid = TimeGrid(t_prev, float(t_k), config.n_steps)
         pset, st = step(pset, y_k, grid, **step_kw)

@@ -56,9 +56,9 @@ class ImportanceSpec:
             model it is used with: (s, t) for SdeModel, (s1, s2, t) for
             SplitSdeModel.  May return per-particle batched values.
         dispersion: proposal dispersion B(t) by the model's rule for L
-            (a scalar is 1x1, a 1-d constant diagonal; 2-d or per-particle
-            (N, s, s) constants and callables of t as they are), or None
-            for "B is L": the scaling is then skipped, not multiplied out.
+            (a scalar is 1x1, a 1-d constant diagonal; 2-d constants and
+            callables of t as they are), or None for "B is L": the
+            scaling is then skipped, not multiplied out.
     """
 
     drift: object
@@ -113,9 +113,6 @@ def _dispersion_at(value):
     """t -> B (None for B = L), read as ImportanceSpec documents."""
     if value is None:
         return lambda t: None
-    if not callable(value) and np.ndim(value) > 2:
-        value = np.asarray(value, dtype=float)
-        return lambda t: value
     return TimeMatrix(value, "proposal dispersion B").at
 
 
@@ -195,8 +192,13 @@ def _joined(s1, s2):
     return s2 if s1 is None else np.concatenate([s1, s2], axis=-1)
 
 
-def _coupled_loop(model, imp, drifts, x1_prev, x2_prev, grid, incs,
-                  constrain=None, record_noise=False, on_step=None):
+def _on_stoch(drift):
+    """An (x, t) drift as an (s1, s2, t) drift of the stochastic block."""
+    return lambda s1, s2, t: drift(s2, t)
+
+
+def _coupled_loop(model, imp, x1_prev, x2_prev, grid, incs,
+                  record_noise=False, on_step=None):
     """The coupled Euler/Lambda recursion of every filter.
 
     Runs the proposal pair (s1, s2), the scaled pair (s1*, s2*) and Lambda
@@ -208,16 +210,16 @@ def _coupled_loop(model, imp, drifts, x1_prev, x2_prev, grid, incs,
     non-finite sum checks each drift and state to name the first one.
 
     Args:
-        model: supplies L and Q (and, with imp, the bootstrap short-cut).
+        model: SdeModel, whose drift and imp's take (s, t), or a model with
+            drift_det and drift_stoch, whose drifts and imp's take
+            (s1, s2, t); its constrain, if any, maps (s1, s2) -> (s1, s2)
+            after every step.  It also supplies L and Q.
         imp: ImportanceSpec.
-        drifts: (f1, f2, g), the model's noise-free and stochastic block
-            drifts and the proposal drift, each (s1, s2, t); f1 is unused
-            when x1_prev is None.
-        x1_prev: noise-free block states (..., d1) at grid.t0, or None.
+        x1_prev: noise-free block states (..., d1) at grid.t0; None for an
+            SdeModel.
         x2_prev: stochastic block states (..., d2) at grid.t0.
         grid: TimeGrid.
         incs: BrownianIncrements or array (..., n_steps, d2).
-        constrain: optional (s1, s2) -> (s1, s2) after every step.
         record_noise: also return the model increments of the s* path.
         on_step: optional (s1*, s2*, t) called at the start of each step,
             before the states move.
@@ -226,7 +228,11 @@ def _coupled_loop(model, imp, drifts, x1_prev, x2_prev, grid, incs,
         CoupledResult; its states are the stochastic blocks when x1_prev
         is None and the blocks concatenated otherwise.
     """
-    f1, f2, g = drifts
+    if x1_prev is None:
+        f1, f2, g = None, _on_stoch(model.drift), _on_stoch(imp.drift)
+    else:
+        f1, f2, g = model.drift_det, model.drift_stoch, imp.drift
+    constrain = getattr(model, "constrain", None)
     prior = _is_prior(model, imp)
     same = imp.dispersion is None
     s1 = None if x1_prev is None else np.asarray(x1_prev, dtype=float).copy()
@@ -277,11 +283,6 @@ def _coupled_loop(model, imp, drifts, x1_prev, x2_prev, grid, incs,
                          noise)
 
 
-def _on_stoch(drift):
-    """An (x, t) drift as an (s1, s2, t) drift of the stochastic block."""
-    return lambda s1, s2, t: drift(s2, t)
-
-
 def propagate_coupled(model, imp, x_prev, grid, incs, record_noise=False):
     """Propagate proposal, scaled state and weight over one interval.
 
@@ -300,9 +301,8 @@ def propagate_coupled(model, imp, x_prev, grid, incs, record_noise=False):
     Returns:
         CoupledResult with s*(t1), s(t1) and Lambda(t1).
     """
-    return _coupled_loop(model, imp, (None, _on_stoch(model.drift),
-                                      _on_stoch(imp.drift)),
-                         None, x_prev, grid, incs, record_noise=record_noise)
+    return _coupled_loop(model, imp, None, x_prev, grid, incs,
+                         record_noise=record_noise)
 
 
 def propagate_coupled_split(model, imp, x1_prev, x2_prev, grid, incs,
@@ -325,10 +325,8 @@ def propagate_coupled_split(model, imp, x1_prev, x2_prev, grid, incs,
     Returns:
         CoupledResult whose states hold the blocks (s1, s2) concatenated.
     """
-    return _coupled_loop(model, imp,
-                         (model.drift_det, model.drift_stoch, imp.drift),
-                         x1_prev, x2_prev, grid, incs,
-                         constrain=model.constrain, record_noise=record_noise)
+    return _coupled_loop(model, imp, x1_prev, x2_prev, grid, incs,
+                         record_noise=record_noise)
 
 
 def estimate_kl(drift_p, drift_q, sigma, paths, grid):

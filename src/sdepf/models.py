@@ -32,7 +32,7 @@ __all__ = [
     "epidemic_model", "epidemic_drift", "epidemic_jacobian",
     "epidemic_theta", "epidemic_simulate", "epidemic_init_sampler",
     "epidemic_indicator", "epidemic_bridge_builder", "epidemic_predict",
-    "EpidemicSim", "EpidemicPrediction", "CountSeries", "read_count_series",
+    "EpidemicSim", "EpidemicPrediction", "read_count_series",
 ]
 
 
@@ -248,18 +248,17 @@ def epidemic_init_sampler(beta_a=1.0, beta_b=100.0,
     return sampler
 
 
-def epidemic_theta(start_state, end_state, floor=1e-12):
+def epidemic_theta(start_state, end_state):
     """Expected death fraction over one interval from its endpoint states.
 
     theta = (x + y) at the interval start minus (x + y) at its end, which
     along an Euler path equals the integral of g y dt over the interval.
-    Floored at a tiny positive value so Poisson likelihoods stay defined.
+    Floored at 1e-12 so Poisson likelihoods stay defined.
 
     Args:
         start_state: states at t_{k-1}, shape (..., >= 2); components
             0 and 1 are the susceptible and infective fractions.
         end_state: states at t_k, same shape.
-        floor: lower bound on theta.
 
     Returns:
         theta, shape (...,).
@@ -267,7 +266,7 @@ def epidemic_theta(start_state, end_state, floor=1e-12):
     start = np.asarray(start_state, dtype=float)
     end = np.asarray(end_state, dtype=float)
     theta = (start[..., 0] + start[..., 1]) - (end[..., 0] + end[..., 1])
-    return np.maximum(theta, floor)
+    return np.maximum(theta, 1e-12)
 
 
 @dataclass
@@ -462,14 +461,6 @@ def epidemic_predict(pset, model, family, t_now, horizon, n_sims, rng,
 # count series I/O
 
 
-@dataclass
-class CountSeries:
-    """Weekly death counts: times (K,), nonnegative integer counts (K,)."""
-
-    times: np.ndarray
-    counts: np.ndarray
-
-
 def _read_series(path, header):
     """(times, values) float arrays from the first two columns of a CSV.
 
@@ -519,7 +510,7 @@ def read_count_series(path):
     strictly increasing, counts nonnegative integers below 2**63.
 
     Returns:
-        CountSeries.
+        (times (K,) floats, counts (K,) int64).
 
     Raises:
         ValueError: missing file, malformed rows, non-finite values,
@@ -530,4 +521,4 @@ def read_count_series(path):
     if np.any(bad):
         raise ValueError("counts must be nonnegative integers, got %r in %s"
                          % (float(counts[bad][0]), path))
-    return CountSeries(times=times, counts=counts.astype(np.int64))
+    return times, counts.astype(np.int64)

@@ -216,9 +216,7 @@ def rb_gauss_step(pset, model, proposal, y, grid, *, ess_threshold=0.5,
                 model.lin_diffusion.at(t), grid.dt)
 
         x2, x3 = model.split(chunk.states)
-        res = _coupled_loop(model, imp, (model.drift_det, model.drift_stoch,
-                                         imp.drift),
-                            x2, x3, grid, incs.values[sl],
+        res = _coupled_loop(model, imp, x2, x3, grid, incs.values[sl],
                             on_step=advance_moments)
         if not (np.all(np.isfinite(mean)) and np.all(np.isfinite(cov))):
             raise IntegrationError("Gaussian block moments non-finite at "

@@ -31,7 +31,7 @@ class TimeGrid:
     Attributes:
         t0: left endpoint.
         t1: right endpoint, strictly greater than t0.
-        n_steps: number of Euler steps (grid has n_steps + 1 points).
+        n_steps: Euler steps, an int >= 1 (the grid has n_steps + 1 points).
     """
 
     t0: float
@@ -43,8 +43,9 @@ class TimeGrid:
             raise ValueError("grid endpoints must be finite")
         if self.t1 <= self.t0:
             raise ValueError("need t1 > t0, got [%g, %g]" % (self.t0, self.t1))
-        if int(self.n_steps) < 1:
-            raise ValueError("n_steps must be >= 1")
+        n = self.n_steps
+        if isinstance(n, bool) or not isinstance(n, (int, np.integer)) or n < 1:
+            raise ValueError("n_steps must be an int >= 1, got %r" % (n,))
 
     @property
     def dt(self):

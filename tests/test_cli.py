@@ -58,8 +58,13 @@ def test_selftest_passes():
     # [TRIVIAL] built-in battery must succeed on a healthy install.
     res = run_cli("selftest")
     assert res.returncode == 0, res.stdout + res.stderr
-    assert "checks passed" in res.stdout
-    assert "FAIL" not in res.stdout
+    assert res.stdout.splitlines() == [
+        "PASS: bootstrap log-ratio is exactly zero",
+        "PASS: constant-drift log-ratio matches closed form",
+        "PASS: variance posterior: sequential equals batch",
+        "PASS: count predictive mass at d=0 is 1/2",
+        "PASS: 1x1 products equal np.matmul bit for bit",
+        "all 5 checks passed"]
 
 
 # ---------------------------------------------------------------------------
@@ -497,6 +502,30 @@ out = %s
         assert cols == ["i", "state_0", "log_weight"]
         assert data.shape == (64, 3)
         np.testing.assert_array_equal(data[:, 0], np.arange(64))
+
+
+@pytest.mark.parametrize("step", ["0", "-1", "9"])
+def test_dump_step_outside_the_run_exits_2(tmp_path, step):
+    # Steps run from 1 to the number of readings (6 here); a step the
+    # run never reaches is refused before the filter runs.
+    (tmp_path / "measurements.csv").write_text(
+        "t,y\n" + "".join("%d,0.1\n" % k for k in range(1, 7)))
+    run_cfg = write_config(tmp_path / "filter.ini", """
+[model]
+kind = ou
+
+[filter]
+particles = 16
+dump_steps = 2, %s
+
+[io]
+measurements = %s
+out = %s
+""" % (step, tmp_path / "measurements.csv", tmp_path / "run"))
+    res = run_cli("filter", "--config", run_cfg)
+    assert res.returncode == 2, res.stdout + res.stderr
+    assert "dump_steps" in res.stderr
+    assert not (tmp_path / "run").exists()
 
 
 # ---------------------------------------------------------------------------

@@ -457,6 +457,16 @@ class TestScaledProposal:
         for name in ("state", "proposal_state", "llr"):
             _assert_same_bits(getattr(vec, name), getattr(diag, name))
 
+    def test_per_particle_dispersion_is_rejected(self):
+        # B is one matrix for all particles: an (N, s, s) stack is not.
+        model = _ou_model(rate=1.0, q=1.0)
+        grid = TimeGrid(0.0, 1.0, 4)
+        incs = sample_brownian_increments(grid, model.diffusion,
+                                          np.random.default_rng(5), n_paths=3)
+        imp = ImportanceSpec(lambda x, t: np.zeros_like(x), np.ones((3, 1, 1)))
+        with pytest.raises(ValueError, match="proposal dispersion B"):
+            propagate_coupled(model, imp, np.zeros((3, 1)), grid, incs)
+
 
 class TestDiscretizationError:
     def test_llr_error_halves_with_step(self):

@@ -7,7 +7,7 @@ from sdepf import FilterConfig, gamma_poisson_family
 from sdepf.cli import _linear_bridge_builder
 from sdepf.filtering import ParticleSet
 from sdepf.proposals import build_bridge, ekf_condition, ekf_predict
-from sdepf.models import (CountSeries, EKF_LOG_RATE_CAP, epidemic_drift,
+from sdepf.models import (EKF_LOG_RATE_CAP, epidemic_drift,
                           epidemic_indicator, epidemic_init_sampler,
                           epidemic_jacobian, epidemic_bridge_builder,
                           epidemic_model, epidemic_predict, epidemic_simulate,
@@ -351,11 +351,10 @@ class TestReadCountSeries:
         path = self._write(tmp_path,
                            "# produced by a simulator\n"
                            "week,deaths\n1,5\n2,12\n3,0\n")
-        series = read_count_series(path)
-        assert isinstance(series, CountSeries)
-        np.testing.assert_array_equal(series.times, [1.0, 2.0, 3.0])
-        np.testing.assert_array_equal(series.counts, [5, 12, 0])
-        assert series.counts.dtype == np.int64
+        times, counts = read_count_series(path)
+        np.testing.assert_array_equal(times, [1.0, 2.0, 3.0])
+        np.testing.assert_array_equal(counts, [5, 12, 0])
+        assert counts.dtype == np.int64
 
     def test_rejects_wrong_header(self, tmp_path):
         path = self._write(tmp_path, "t,y\n1,5\n")

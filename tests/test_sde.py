@@ -30,6 +30,9 @@ class TestTimeGrid:
             TimeGrid(0.0, 1.0, 0)
         with pytest.raises(ValueError):
             TimeGrid(0.0, np.inf, 5)
+        for n_steps in (2.5, True):
+            with pytest.raises(ValueError, match="n_steps"):
+                TimeGrid(0.0, 1.0, n_steps)
 
 
 class TestDiffusionSpec:
