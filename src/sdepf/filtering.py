@@ -12,6 +12,7 @@ not depend on whether resampling happened.
 """
 
 import concurrent.futures
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -240,7 +241,7 @@ def finish_step(pset, new_states, llr, loglik, t, *, gauss=None, stats=None,
     k = pset.step_index + 1
     lw_un = pset.log_weights + llr + loglik
     if np.any(np.isnan(lw_un)) or np.any(lw_un == np.inf):
-        raise IntegrationError("non-finite log weights at step %d" % k)
+        raise IntegrationError("non-finite log weights at t=%g" % t)
     m = np.max(lw_un)
     if m == -np.inf:
         raise DegeneracyError("all particle weights vanished at step %d" % k)
@@ -345,9 +346,12 @@ def sir_step(pset, model, proposal, meas_model, y, grid, *, ess_threshold=0.5,
                        ess_threshold=ess_threshold, resample_rng=resample_rng)
 
 
-# The conjugate filter's parameter quantiles come from THETA_SAMPLES * N
-# posterior draws in all, allocated over the particles by weight.
-THETA_SAMPLES = 64
+# The conjugate filter's parameter quantiles come from
+# K = ceil(THETA_SAMPLES_PER_ESS * ESS) posterior draws in all, allocated
+# over the particles by weight.  The particles already leave a quantile
+# error of order 1 / sqrt(ESS); the draws add one of order 1 / sqrt(K),
+# so the total sd grows by a factor of about sqrt(1 + 1/16), 3%.
+THETA_SAMPLES_PER_ESS = 16
 
 
 @dataclass
@@ -478,6 +482,10 @@ def run_filter(model, proposal, meas_model, times, ys, config, *,
         With "rb_gauss", means and variances list the Gaussian block
         first; with "rb_param", each row's extra holds theta_mean,
         theta_q05, theta_q50 and theta_q95, in that order.
+
+    Raises:
+        IntegrationError: if step k's proposal, propagation or weights
+            become non-finite; the message starts with "step k: ".
     """
     times = np.asarray(times, dtype=float)
     if times.ndim != 1:
@@ -556,9 +564,9 @@ def run_filter(model, proposal, meas_model, times, ys, config, *,
             est = family.mean(pset.stats)
             extra["theta_mean"] = float(w @ est) if np.all(np.isfinite(est)) \
                 else float("nan")
+            k_draws = math.ceil(THETA_SAMPLES_PER_ESS * ess)
             extra["theta_q05"], extra["theta_q50"], extra["theta_q95"] = \
-                _theta_quantiles(family, pset.stats, w,
-                                 THETA_SAMPLES * pset.n, summary_rng)
+                _theta_quantiles(family, pset.stats, w, k_draws, summary_rng)
         return SummaryRow(k=k, t=t, mean=mean, var=var, ess=ess,
                           log_marginal=log_ml, resampled=resampled, extra=extra)
 
@@ -567,7 +575,10 @@ def run_filter(model, proposal, meas_model, times, ys, config, *,
     t_prev = 0.0
     for k, (t_k, y_k) in enumerate(zip(times, ys), start=1):
         grid = TimeGrid(t_prev, float(t_k), config.n_steps)
-        pset, st = step(pset, y_k, grid, **step_kw)
+        try:
+            pset, st = step(pset, y_k, grid, **step_kw)
+        except IntegrationError as exc:
+            raise IntegrationError("step %d: %s" % (k, exc)) from exc
         log_ml += st.log_ml_increment
         summaries.append(summarize(pset, k, float(t_k), st.ess, log_ml,
                                    st.resampled))

@@ -46,10 +46,10 @@ def ekf_predict(x0, linearize, q_mat, grid):
     P is carried as a factor G with P = G G^T: each step multiplies G by
     A and appends the columns sqrt(dt) L_Q, where Q = L_Q L_Q^T keeps
     the positive eigenvalues of Q.  So the prediction is positive
-    semidefinite by construction and needs no repair.  The factor's
-    width, n zero columns for the Dirac start plus rank(Q) per step,
-    depends on shapes only, so each particle's arithmetic is the same
-    however the particles are batched.
+    semidefinite by construction and needs no repair.  The Dirac start
+    contributes no column, so the factor's width is rank(Q) per step;
+    it depends on shapes only, so each particle's arithmetic is the
+    same however the particles are batched.
 
     Args:
         x0: states at grid.t0, (..., n); the prediction starts from a
@@ -80,10 +80,9 @@ def ekf_predict(x0, linearize, q_mat, grid):
     step_cols = np.sqrt(dt) * (v[:, keep] * np.sqrt(w[keep]))
     r = step_cols.shape[-1]
     # Two factor buffers written in turn.  Both hold step_cols in every
-    # step's columns up front: step j writes only the n + j r columns
-    # before its own into the other buffer, so those stay valid there.
-    fac = np.zeros(mean.shape[:-1] + (n, n + grid.n_steps * r))
-    fac[..., n:] = np.tile(step_cols, grid.n_steps)
+    # step's columns up front: step j writes only the j r columns before
+    # its own into the other buffer, so those stay valid there.
+    fac = np.tile(step_cols, mean.shape[:-1] + (1, grid.n_steps))
     spare = fac.copy()
     with np.errstate(over="ignore", invalid="ignore"):
         for j in range(grid.n_steps):
@@ -95,7 +94,7 @@ def ekf_predict(x0, linearize, q_mat, grid):
                 raise IntegrationError("EKF drift non-finite at t=%g" % t)
             a_mat = np.multiply(f_jac, dt, order="C")
             a_mat.reshape(-1, n * n)[:, ::n + 1] += 1.0
-            used = n + j * r
+            used = j * r
             np.matmul(a_mat, fac[..., :used], out=spare[..., :used])
             fac, spare = spare, fac
             mean = mean + f_val * dt

@@ -24,7 +24,6 @@ Conditionally linear dynamics, given the sampled states:
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import gammaln
 
 from ._linalg import (TimeMatrix, guarded_inv, log_mvn_density, mat_mul,
                       mat_vec, symmetrize)
@@ -535,6 +534,9 @@ def invchi2_family(nu0, s20):
     """
     if nu0 <= 0 or s20 <= 0:
         raise ValueError("need nu0 > 0 and s20 > 0")
+    # Imported here so that only runs with a conjugate family load
+    # scipy.special, which costs more than the rest of the package.
+    from scipy.special import gammaln
 
     def init_stats(n):
         return np.tile(np.array([float(nu0), float(s20)]), (n, 1))
@@ -593,6 +595,7 @@ def gamma_poisson_family(alpha0, beta0):
     """
     if alpha0 <= 0 or beta0 <= 0:
         raise ValueError("need alpha0 > 0 and beta0 > 0")
+    from scipy.special import gammaln   # see invchi2_family
 
     def init_stats(n):
         return np.tile(np.array([float(alpha0), float(beta0)]), (n, 1))

@@ -7,6 +7,7 @@ tests that inject a failure, and the round trip over every combination
 the model-kind table allows, call ``sdepf.cli.main`` in process instead.
 """
 
+import dataclasses
 import subprocess
 import sys
 
@@ -716,6 +717,38 @@ out = %s
     err = capsys.readouterr().err
     assert "numerical failure" in err
     assert "exposure theta" in err
+
+
+def test_kernel_error_names_the_step_exits_3(tmp_path, monkeypatch, capsys):
+    # The model's drift turns NaN in the second interval, (0.5, 1]: the
+    # run fails in step 2 and says so.
+    meas = tmp_path / "m.csv"
+    meas.write_text("t,y\n0.5,0.1\n1.0,0.2\n", encoding="utf-8")
+    cfg = write_config(tmp_path / "f.ini", """
+[model]
+kind = ou
+
+[filter]
+particles = 20
+
+[io]
+measurements = %s
+out = %s
+""" % (meas, tmp_path / "run"))
+    real = sdepf.cli.run_filter
+
+    def nan_drift_run(model, **kwargs):
+        drift = model.drift
+        model = dataclasses.replace(
+            model, drift=lambda x, t: drift(x, t) if t < 0.5
+            else np.full(x.shape, np.nan))
+        return real(model=model, **kwargs)
+
+    monkeypatch.setattr(sdepf.cli, "run_filter", nan_drift_run)
+    assert sdepf.cli.main(["filter", "--config", cfg]) == 3
+    err = capsys.readouterr().err
+    assert "numerical failure: step 2: " in err
+    assert "non-finite at t=0.5" in err
 
 
 def test_simulate_numerical_failure_exits_3(tmp_path, capsys):

@@ -1,6 +1,7 @@
 """Weight bookkeeping, resampling and the filter driver."""
 
 import dataclasses
+import math
 import tracemalloc
 
 import numpy as np
@@ -10,8 +11,8 @@ from hypothesis import strategies as st
 from scipy.special import logsumexp
 
 from sdepf import (CondGaussModel, DiffusionSpec, FilterConfig, GaussianBlock,
-                   ParticleSet, SdeModel, TimeGrid, finish_step,
-                   gamma_poisson_family, gaussian_measurement,
+                   ImportanceSpec, ParticleSet, SdeModel, TimeGrid, filtering,
+                   finish_step, gamma_poisson_family, gaussian_measurement,
                    init_particle_set, invchi2_family, models, prior_proposal,
                    run_filter, seed_streams, sir_step, systematic_counts,
                    systematic_resample, systematic_resample_indices)
@@ -226,7 +227,6 @@ class TestThetaQuantiles:
     @pytest.mark.parametrize("ess_target, spread", [(1.0, 0.05), (0.2, 1.13)])
     def test_matches_exact_mixture_quantile(self, kind, ess_target, spread):
         n = 5000
-        k = 64 * n
         rng = np.random.default_rng(41)
         z = np.sort(rng.standard_normal(n))
         if kind == "invchi2":
@@ -240,7 +240,9 @@ class TestThetaQuantiles:
         # likelihood does; spread sets ESS / N.
         w = np.exp(spread * (0.6 * z + 0.8 * rng.standard_normal(n)))
         w /= w.sum()
-        assert abs(1.0 / np.sum(w * w) / n - ess_target) < 0.02
+        ess = 1.0 / np.sum(w * w)
+        assert abs(ess / n - ess_target) < 0.02
+        k = math.ceil(16 * ess)   # run_filter's summary size
 
         qs = (0.05, 0.5, 0.95)
         est = _theta_quantiles(fam, stats, w, k, np.random.default_rng(7))
@@ -262,33 +264,94 @@ class TestThetaQuantiles:
             #   monotone in i and |A| <= 2 / K.
             # * B, given the counts, is a mean of K independent centred
             #   indicators with variance at most v / K, v = p (1 - p)
-            #   for the p in [q - 0.02, q + 0.02] nearest 1/2 (for
-            #   d < 0.02, F(t) + A lies there).  Bernstein:
+            #   for the p in [q - 0.04, q + 0.04] nearest 1/2: their
+            #   mean probability F(t) + A is within d + 2 / K of q, which
+            #   the premise below keeps under 0.04.  Bernstein:
             #   P(|B| >= x) <= 2 exp(-K x^2 / (2 (v + x / 3))), and x
             #   below makes that 1e-9.
-            p = min(max(0.5, q - 0.02), q + 0.02)
+            # K = ceil(16 ESS) is 16 000 at ESS ~ 1000, where x reaches
+            # 0.026 at q = 1/2 (v = 1/4); so the window for p is +-0.04.
+            p = min(max(0.5, q - 0.04), q + 0.04)
             v = p * (1.0 - p)
             x = (log_term / 3.0
                  + np.sqrt(log_term ** 2 / 9.0 + 2.0 * log_term * k * v)) / k
             bound = 3.0 / k + x
-            assert bound < 0.02
+            assert bound + 2.0 / k < 0.04
             err = abs(mixture_cdf(kind, stats, w, q_hat) - q)
             assert err <= bound, (q, q_hat, q_exact, err, bound)
 
-    def test_run_filter_draws_theta_samples_times_n(self):
-        # The initial row's summary is K = 64 * N draws from
-        # the summary generator, the fourth child of the seed tree.
+    @pytest.mark.parametrize("n", [1, 40])
+    def test_run_filter_draws_sixteen_per_ess(self, n, monkeypatch):
+        # Row k's summary is K = ceil(16 ESS_k) draws from the summary
+        # generator, the fourth child of the seed tree, with ESS_k the
+        # row's own (pre-resampling) ESS: 16 N on row 0, 16 at N = 1.
+        seen = []
+
+        def spy(family, stats, weights, k, rng):
+            seen.append((stats.copy(), weights.copy(), k))
+            return _theta_quantiles(family, stats, weights, k, rng)
+
+        monkeypatch.setattr(filtering, "_theta_quantiles", spy)
         model = models.pendulum_model(
             1.0, 0.01, initial_sampler=lambda g: g.normal(size=2))
         fam = invchi2_family(3.0, 0.4)
-        cfg = FilterConfig(n_particles=3, n_steps=2, seed=4)
-        res = run_filter(model, prior_proposal(model), None, [0.1], [0.2],
-                         cfg, method="rb_param", family=fam)
-        row = res.summaries[0]
-        expect = _theta_quantiles(fam, fam.init_stats(3), np.full(3, 1 / 3),
-                                  64 * 3, seed_streams(4)[3])
-        assert [row.extra["theta_q05"], row.extra["theta_q50"],
-                row.extra["theta_q95"]] == expect
+        cfg = FilterConfig(n_particles=n, n_steps=2, ess_threshold=0.0,
+                           seed=4)
+        res = run_filter(model, prior_proposal(model), None, [0.1, 0.2],
+                         [0.2, -0.1], cfg, method="rb_param", family=fam)
+        assert len(seen) == len(res.summaries) == 3
+        assert seen[0][2] == 16 * n
+        rng = seed_streams(4)[3]
+        for row, (stats, w, k) in zip(res.summaries, seen):
+            assert k == math.ceil(16 * row.ess)
+            assert [row.extra["theta_q05"], row.extra["theta_q50"],
+                    row.extra["theta_q95"]] == \
+                _theta_quantiles(fam, stats, w, k, rng)
+        if n == 1:
+            assert [k for _, _, k in seen] == [16, 16, 16]
+        else:
+            # A later row with non-uniform weights, whose ESS is not an
+            # integer, so the ceiling matters.
+            assert np.ptp(seen[-1][1]) > 0
+            assert seen[-1][2] != 16 * res.summaries[-1].ess
+
+    def test_draw_count_changes_only_the_quantiles(self, monkeypatch):
+        # The summary generator is its own seed-tree child: drawing
+        # 64 N instead of ceil(16 ESS) leaves every other output bit.
+        model = models.pendulum_model(
+            1.0, 0.5, initial_sampler=lambda g: g.normal(size=2))
+        # nu0 = 1: theta_mean is NaN until the second reading.
+        fam = invchi2_family(1.0, 0.4)
+        cfg = FilterConfig(n_particles=200, n_steps=4, seed=12)
+        times = 0.1 * np.arange(1, 9)
+        ys = np.sin(3.0 * times)
+
+        def run():
+            return run_filter(model, prior_proposal(model), None, times, ys,
+                              cfg, method="rb_param", family=fam)
+
+        new = run()
+        monkeypatch.setattr(
+            filtering, "_theta_quantiles",
+            lambda family, stats, w, k, rng:
+                _theta_quantiles(family, stats, w, 64 * w.size, rng))
+        old = run()
+        quantiles = ("theta_q05", "theta_q50", "theta_q95")
+        assert any(r.resampled for r in new.summaries)
+        assert np.isnan(new.summaries[0].extra["theta_mean"])
+        for a, b in zip(new.summaries, old.summaries):
+            for f in dataclasses.fields(a):
+                if f.name != "extra":
+                    assert np.array_equal(getattr(a, f.name),
+                                          getattr(b, f.name), equal_nan=True)
+            assert a.extra.keys() == b.extra.keys()
+            for key in a.extra.keys() - set(quantiles):
+                assert np.array_equal(a.extra[key], b.extra[key],
+                                      equal_nan=True)
+        assert new.log_marginal == old.log_marginal
+        assert new.final_set.states.tobytes() == old.final_set.states.tobytes()
+        assert any(a.extra[q] != b.extra[q] for q in quantiles
+                   for a, b in zip(new.summaries, old.summaries))
 
 
 class TestFinishStep:
@@ -825,6 +888,22 @@ class TestRunFilterEdgeCases:
             run_filter(model, prior_proposal(model),
                        gaussian_measurement(0, obs_var), times, ys,
                        FilterConfig(n_particles=4, n_steps=2))
+
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_kernel_error_names_the_step(self, threads):
+        # The drift turns NaN in the second interval, (0.5, 1]: the
+        # IntegrationError names that step as well as the time.
+        model, _, _, (rate, _, obs_var) = _ou_setup(n_meas=2)
+        model = dataclasses.replace(
+            model, drift=lambda x, t: -rate * x if t < 0.5
+            else np.full(x.shape, np.nan))
+        proposal = ImportanceSpec(drift=lambda x, t: -x)
+        with pytest.raises(IntegrationError, match=r"^step 2: drift became "
+                                                   r"non-finite at t=0\.5$"):
+            run_filter(model, proposal, gaussian_measurement(0, obs_var),
+                       [0.5, 1.0], [0.1, 0.2],
+                       FilterConfig(n_particles=20, n_steps=2,
+                                    threads=threads))
 
     @pytest.mark.parametrize("method", METHODS)
     def test_threshold_zero_never_resamples(self, method):
