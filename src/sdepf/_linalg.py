@@ -41,9 +41,11 @@ def as_square_matrix(value, name="matrix"):
 class TimeMatrix:
     """A matrix-valued function of time, possibly constant.
 
-    Wraps either a constant array (scalar and 1-d inputs are promoted via
-    as_square_matrix) or a callable t -> matrix.  Constant wrappers let
-    callers hoist factorizations out of inner loops.
+    Wraps either a constant or a callable t -> value.  Scalar and 1-d
+    values of either are promoted by as_matrix (a scalar is 1x1, a 1-d
+    value diagonal); 2-d values, and a callable's larger ones, pass
+    through.  Constant
+    wrappers let callers hoist factorizations out of inner loops.
     """
 
     def __init__(self, value, name="matrix"):
@@ -61,9 +63,7 @@ class TimeMatrix:
         if self.constant:
             return self._value
         out = np.asarray(self._fn(t), dtype=float)
-        if out.ndim == 0:
-            out = out.reshape(1, 1)
-        return out
+        return as_matrix(out, self.name) if out.ndim < 2 else out
 
 
 def mat_vec(mat, vec):

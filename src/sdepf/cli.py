@@ -586,7 +586,7 @@ def cmd_selftest(cfg):
     # Constant drifts: Lambda matches the closed form.
     a, q = 0.7, 0.5
     model_c = SdeModel(1, 1, lambda x, t: np.full_like(x, a), 1.0, q)
-    imp_c = ImportanceSpec(lambda x, t: np.zeros_like(x), None)
+    imp_c = ImportanceSpec(lambda x, t: np.zeros_like(x))
     grid_c = TimeGrid(0.0, 1.0, 64)
     incs_c = sample_brownian_increments(grid_c, model_c.diffusion,
                                         np.random.default_rng(1), n_paths=16)

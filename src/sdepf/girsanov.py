@@ -1,29 +1,21 @@
 """Coupled proposal simulation and likelihood-ratio weights.
 
-Particles are propagated under an importance SDE
+Particles are propagated under an importance SDE with the model's own
+dispersion,
 
-    ds = g(s, t) dt + B(t) dbeta,
+    ds = g(s, t) dt + L(t) dbeta,
 
-while the state actually reported follows the scaled process
+and the running log likelihood ratio Lambda between the law of the
+target SDE (drift f, dispersion L) and the law of s accumulates, per
+Euler step with left-endpoint evaluation,
 
-    ds* = L(t) B(t)^-1 ds,
-
-driven by the same realized increments.  The running log likelihood
-ratio Lambda between the law of the target SDE (drift f, dispersion L)
-and the law of s* accumulates, per Euler step with left-endpoint
-evaluation,
-
-    d(s, s*, t) = f(s*, t) - L(t) B(t)^-1 g(s, t)
+    d(s, t) = f(s, t) - g(s, t)
     dLambda = d^T L^-T Q^-1 dbeta - 0.5 d^T (L Q L^T)^-1 d dt.
 
 exp(Lambda) is then the importance weight correcting expectations under
 the proposal back to the target law.  For the Euler discretization this
 weight is the exact likelihood ratio of the two discrete chains, so
 E[exp(Lambda)] = 1 holds at any step size, not just in the limit.
-
-Setting an ImportanceSpec's dispersion to None declares B identical to L;
-the scaling L B^-1 is then treated as the exact identity, which keeps
-bootstrap proposals (g = f) bit-exactly weight-free.
 
 One loop, _coupled_loop, runs this recursion for every filter.  Its state
 is split into a noise-free block, moved by forward Euler (absent for a
@@ -37,8 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._linalg import (TimeMatrix, as_square_matrix, guarded_inv, mat_mul,
-                      mat_vec, quad_form)
+from ._linalg import as_square_matrix, guarded_inv, mat_mul, mat_vec, quad_form
 from .sde import _check_finite, _increment_values
 
 __all__ = [
@@ -49,40 +40,32 @@ __all__ = [
 
 @dataclass
 class ImportanceSpec:
-    """Importance (proposal) SDE for one propagation interval.
+    """Importance (proposal) SDE for one propagation interval.  It keeps
+    the model's dispersion L and replaces only the drift.
 
     Attributes:
         drift: proposal drift g.  Its signature mirrors the drift of the
             model it is used with: (s, t) for SdeModel, (s1, s2, t) for
             SplitSdeModel.  May return per-particle batched values.
-        dispersion: proposal dispersion B(t) by the model's rule for L
-            (a scalar is 1x1, a 1-d constant diagonal; 2-d constants and
-            callables of t as they are), or None for "B is L": the
-            scaling is then skipped, not multiplied out.
     """
 
     drift: object
-    dispersion: object = None
 
 
 @dataclass
 class CoupledResult:
     """Endpoint of one coupled propagation interval.
 
-    For a split model both states are the blocks (s1, s2) concatenated,
-    and with the model's own dispersion (B = L) they are one object.
-
     Attributes:
-        state: s*(t1), the weighted particle state (..., n).
-        proposal_state: s(t1), the raw proposal endpoint (..., n).
+        state: s(t1), the weighted particle state (..., n); for a split
+            model the blocks (s1, s2) concatenated.
         llr: accumulated log likelihood ratio Lambda(t1), shape (...,).
         model_noise: if requested, the Brownian increments (...,
             n_steps, s) under which the model's own Euler chain
-            reproduces the s* path; otherwise None.
+            reproduces the s path; otherwise None.
     """
 
     state: np.ndarray
-    proposal_state: np.ndarray
     llr: np.ndarray
     model_noise: np.ndarray = None
 
@@ -93,7 +76,7 @@ def prior_proposal(model):
     Works for SdeModel, SplitSdeModel and any model exposing a
     drift_stoch attribute for its noise-driven block.
     """
-    return ImportanceSpec(drift=_prior_drift(model), dispersion=None)
+    return ImportanceSpec(drift=_prior_drift(model))
 
 
 def _prior_drift(model):
@@ -106,30 +89,21 @@ def _is_prior(model, imp):
     takes the model's stochastic drift to be the proposal's, leaves Lambda
     at exactly zero, which is what the full recursion computes there, and
     builds none of the inverses that only Lambda reads."""
-    return imp.dispersion is None and imp.drift is _prior_drift(model)
-
-
-def _dispersion_at(value):
-    """t -> B (None for B = L), read as ImportanceSpec documents."""
-    if value is None:
-        return lambda t: None
-    return TimeMatrix(value, "proposal dispersion B").at
+    return imp.drift is _prior_drift(model)
 
 
 class _LlrOps:
-    """Inverses used by the log-likelihood-ratio step, built once per time.
+    """Matrices used by the Euler and log-likelihood-ratio steps, built
+    once per time.
 
-    noise_mat is the proposal's dispersion B, scale is L B^-1 (None when
-    B is declared identical to L), l_inv is L^-1 (also the check that L
-    is invertible), a_lin is L^-T Q^-1 and a_quad is (L Q L^T)^-1.  The
-    last two exist only when Lambda is accumulated (weighted).
+    l_mat is L, l_inv is L^-1 (also the check that L is invertible),
+    a_lin is L^-T Q^-1 and a_quad is (L Q L^T)^-1.  The last two exist
+    only when Lambda is accumulated (weighted).
     """
 
-    def __init__(self, l_mat, b_mat, q_mat, t, weighted):
+    def __init__(self, l_mat, q_mat, t, weighted):
+        self.l_mat = l_mat
         self.l_inv = guarded_inv(l_mat, "dispersion L", t)
-        self.noise_mat = l_mat if b_mat is None else b_mat
-        self.scale = None if b_mat is None \
-            else mat_mul(l_mat, guarded_inv(b_mat, "proposal dispersion B", t))
         if weighted:
             self.a_lin = mat_mul(np.swapaxes(self.l_inv, -1, -2),
                                  guarded_inv(q_mat, "diffusion Q", t))
@@ -138,27 +112,20 @@ class _LlrOps:
                 "L Q L^T", t)
 
 
-def _ops_at(model, imp, grid, weighted):
+def _ops_at(model, grid, weighted):
     """t -> _LlrOps at t (with Lambda's inverses when weighted), built
-    once per interval when the model's and the proposal's matrices are
-    all constant."""
-    b_at = _dispersion_at(imp.dispersion)
-
+    once per interval when the model's L and Q are both constant."""
     def build(t):
-        return _LlrOps(model.dispersion.at(t), b_at(t),
-                       model.diffusion.at(t), t, weighted)
-    if model.dispersion.constant and model.diffusion.constant \
-            and not callable(imp.dispersion):
+        return _LlrOps(model.dispersion.at(t), model.diffusion.at(t), t,
+                       weighted)
+    if model.dispersion.constant and model.diffusion.constant:
         ops = build(grid.t0)
         return lambda t: ops
     return build
 
 
 def _llr_kernel(llr, f_val, g_val, ops, dt, dbeta):
-    if ops.scale is None:
-        d = f_val - g_val
-    else:
-        d = f_val - mat_vec(ops.scale, g_val)
+    d = f_val - g_val
     lin = np.sum(d * mat_vec(ops.a_lin, dbeta), axis=-1)
     quad = quad_form(d, ops.a_quad)
     return llr + lin - 0.5 * quad * dt
@@ -166,7 +133,7 @@ def _llr_kernel(llr, f_val, g_val, ops, dt, dbeta):
 
 def _model_increment(ops, step, f_val, dt):
     """Brownian increment under which the model's Euler step f dt + L db
-    equals the scaled-process step (before any constraint)."""
+    equals the proposal step (before any constraint)."""
     return mat_vec(ops.l_inv, step - f_val * dt)
 
 
@@ -201,13 +168,11 @@ def _coupled_loop(model, imp, x1_prev, x2_prev, grid, incs,
                   record_noise=False, on_step=None):
     """The coupled Euler/Lambda recursion of every filter.
 
-    Runs the proposal pair (s1, s2), the scaled pair (s1*, s2*) and Lambda
-    over the grid on the shared increments.  Noise-free blocks (s1, s1*)
-    move by forward Euler; the weight uses the stochastic-block drifts.
-    When imp's dispersion is None (B = L) the scaled step is the proposal
-    step, so s* is s: the loop keeps one pair and evaluates f1 once.
-    Each step sums its moved blocks (and Lambda when weighted); only a
-    non-finite sum checks each drift and state to name the first one.
+    Runs the states (s1, s2) and Lambda over the grid on the shared
+    increments.  The noise-free block s1 moves by forward Euler; the
+    weight uses the stochastic-block drifts.  Each step sums its moved
+    blocks (and Lambda when weighted); only a non-finite sum checks each
+    drift and state to name the first one.
 
     Args:
         model: SdeModel, whose drift and imp's take (s, t), or a model with
@@ -220,13 +185,13 @@ def _coupled_loop(model, imp, x1_prev, x2_prev, grid, incs,
         x2_prev: stochastic block states (..., d2) at grid.t0.
         grid: TimeGrid.
         incs: BrownianIncrements or array (..., n_steps, d2).
-        record_noise: also return the model increments of the s* path.
-        on_step: optional (s1*, s2*, t) called at the start of each step,
+        record_noise: also return the model increments of the s path.
+        on_step: optional (s1, s2, t) called at the start of each step,
             before the states move.
 
     Returns:
-        CoupledResult; its states are the stochastic blocks when x1_prev
-        is None and the blocks concatenated otherwise.
+        CoupledResult; its state is the stochastic block when x1_prev is
+        None and the blocks concatenated otherwise.
     """
     if x1_prev is None:
         f1, f2, g = None, _on_stoch(model.drift), _on_stoch(imp.drift)
@@ -234,72 +199,57 @@ def _coupled_loop(model, imp, x1_prev, x2_prev, grid, incs,
         f1, f2, g = model.drift_det, model.drift_stoch, imp.drift
     constrain = getattr(model, "constrain", None)
     prior = _is_prior(model, imp)
-    same = imp.dispersion is None
     s1 = None if x1_prev is None else np.asarray(x1_prev, dtype=float).copy()
     s2 = np.asarray(x2_prev, dtype=float).copy()
-    s1_star, s2_star = s1, s2   # steps rebind states, never write into them
     vals = _increment_values(incs, grid)
     llr = np.zeros(s2.shape[:-1])
     dt = grid.dt
     noise = np.empty(vals.shape) if record_noise else None
-    ops_at = _ops_at(model, imp, grid, not prior)
+    ops_at = _ops_at(model, grid, not prior)
 
     for j in range(grid.n_steps):
         t = grid.t0 + j * dt
         if on_step is not None:
-            on_step(s1_star, s2_star, t)
+            on_step(s1, s2, t)
         ops = ops_at(t)
         g_val = _drift_at(g, s1, s2, t)
         f1_val = None if s1 is None else _drift_at(f1, s1, s2, t)
-        f2_val = g_val if prior else _drift_at(f2, s1_star, s2_star, t)
-        f1_star = f1_val if same or s1 is None \
-            else _drift_at(f1, s1_star, s2_star, t)
+        f2_val = g_val if prior else _drift_at(f2, s1, s2, t)
         db = vals[..., j, :]
-        ds2 = g_val * dt + mat_vec(ops.noise_mat, db)
-        step = ds2 if ops.scale is None else mat_vec(ops.scale, ds2)
+        ds2 = g_val * dt + mat_vec(ops.l_mat, db)
         if record_noise:
-            noise[..., j, :] = _model_increment(ops, step, f2_val, dt)
+            noise[..., j, :] = _model_increment(ops, ds2, f2_val, dt)
         s1, s2, screen = _euler(s1, f1_val, s2, ds2, dt, constrain)
-        if same:
-            s1_star, s2_star = s1, s2
-        else:
-            s1_star, s2_star, screen_star = _euler(s1_star, f1_star, s2_star,
-                                                   step, dt, constrain)
-            screen += screen_star
         if not prior:
             llr = _llr_kernel(llr, f2_val, g_val, ops, dt, db)
             screen += llr.sum()
         if not np.isfinite(screen):   # name the first, in the order read
             for what, val, at in (("proposal drift", g_val, t),
                                   ("drift", f1_val, t), ("drift", f2_val, t),
-                                  ("drift", f1_star, t),
-                                  ("state", s1_star, t + dt),
-                                  ("state", s2_star, t + dt)):
+                                  ("state", s1, t + dt),
+                                  ("state", s2, t + dt)):
                 if val is not None:
                     _check_finite(val, what, at)
     _check_finite(llr, "log likelihood ratio", grid.t1)
-    state = _joined(s1_star, s2_star)
-    return CoupledResult(state, state if same else _joined(s1, s2), llr,
-                         noise)
+    return CoupledResult(_joined(s1, s2), llr, noise)
 
 
 def propagate_coupled(model, imp, x_prev, grid, incs, record_noise=False):
-    """Propagate proposal, scaled state and weight over one interval.
+    """Propagate the proposal state and its weight over one interval.
 
-    Runs the proposal SDE, the scaled process and the Lambda recursion in
-    lockstep over every step of the grid, sharing the given increments.
+    Runs the proposal SDE and the Lambda recursion in lockstep over every
+    step of the grid, sharing the given increments.
 
     Args:
         model: SdeModel (target dynamics).
         imp: ImportanceSpec (proposal dynamics).
-        x_prev: particle states at grid.t0, shape (..., n); both s and s*
-            start here.
+        x_prev: particle states at grid.t0, shape (..., n).
         grid: TimeGrid for the interval.
         incs: BrownianIncrements (..., n_steps, s) matching the batch.
-        record_noise: also return the model increments of the s* path.
+        record_noise: also return the model increments of the s path.
 
     Returns:
-        CoupledResult with s*(t1), s(t1) and Lambda(t1).
+        CoupledResult with s(t1) and Lambda(t1).
     """
     return _coupled_loop(model, imp, None, x_prev, grid, incs,
                          record_noise=record_noise)
@@ -309,9 +259,9 @@ def propagate_coupled_split(model, imp, x1_prev, x2_prev, grid, incs,
                             record_noise=False):
     """propagate_coupled for split models (noise-free block included).
 
-    The noise-free blocks advance by forward Euler alongside both the
-    proposal pair (s1, s2) and the scaled pair (s1*, s2*); the weight
-    recursion uses the stochastic-block drifts only.
+    The noise-free block advances by forward Euler alongside the
+    stochastic block; the weight recursion uses the stochastic-block
+    drifts only.
 
     Args:
         model: SplitSdeModel.
@@ -320,10 +270,10 @@ def propagate_coupled_split(model, imp, x1_prev, x2_prev, grid, incs,
         x2_prev: stochastic block states (..., d2) at grid.t0.
         grid: TimeGrid.
         incs: BrownianIncrements (..., n_steps, d2).
-        record_noise: also return the model increments of the s* path.
+        record_noise: also return the model increments of the s path.
 
     Returns:
-        CoupledResult whose states hold the blocks (s1, s2) concatenated.
+        CoupledResult whose state holds the blocks (s1, s2) concatenated.
     """
     return _coupled_loop(model, imp, x1_prev, x2_prev, grid, incs,
                          record_noise=record_noise)

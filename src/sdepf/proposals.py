@@ -10,12 +10,10 @@ mean m_k with the constant drift
 
     g = (m_k - x_prev) / dt
 
-and the model's own dispersion L.  A model declares only its
-linearization, process noise, steered component and measurement
-(ekf_bridge_builder).  The filter weights and reports the scaled process
-ds* = L B^-1 ds, which always has dispersion L, so a proposal dispersion
-B would change only the drift s* sees; with B = L the endpoint of s* is
-m_k plus the model noise, N(m_k, q dt) per particle.  The EKF therefore
+and the model's own dispersion L, as every proposal keeps.  A model
+declares only its linearization, process noise, steered component and
+measurement (ekf_bridge_builder).  The endpoint of the steered component
+is m_k plus the model noise, N(m_k, q dt) per particle, so the EKF
 supplies only the target mean.  The Girsanov weights are exact for any
 such proposal, so the EKF only has to be good and cheap: it linearizes
 once per Euler step and runs no eigendecomposition of a covariance.
@@ -140,9 +138,9 @@ def build_bridge(x_prev, posterior, dt, index):
 
     Returns:
         ImportanceSpec whose drift is the constant (m_k - x_prev) / dt per
-        particle and whose dispersion is the model's own (None).  The
-        Euler endpoint of the bridged component is m_k plus the summed
-        model noise, so N(m_k, q dt) with q the component's diffusion.
+        particle.  With the model's own dispersion the Euler endpoint of
+        the bridged component is m_k plus the summed model noise, so
+        N(m_k, q dt) with q the component's diffusion.
 
     Raises:
         ValueError: unless dt > 0.
@@ -158,7 +156,7 @@ def build_bridge(x_prev, posterior, dt, index):
         block = args[-2]
         return np.broadcast_to(g_const[..., None], np.shape(block))
 
-    return ImportanceSpec(drift=drift, dispersion=None)
+    return ImportanceSpec(drift=drift)
 
 
 def ekf_bridge_builder(linearize, q_mat, index, measure):

@@ -179,7 +179,7 @@ def rb_gauss_step(pset, model, proposal, y, grid, *, ess_threshold=0.5,
 
     Samples (x2, x3) under the proposal with likelihood-ratio weights by
     the coupled Euler/Lambda loop of every filter, whose per-step hook
-    advances each particle's conditional moments along its scaled path;
+    advances each particle's conditional moments along its sampled path;
     then applies the Kalman update at the measurement and weights by
     Z * N(y; H m^-, S).
 

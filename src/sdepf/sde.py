@@ -118,8 +118,8 @@ class SdeModel:
         dim_state: state dimension n.
         dim_noise: Brownian dimension s.
         drift: callable (x, t) -> drift, batched over leading axes of x.
-        dispersion: L, constant array (n x s) or callable of t; scalars
-            are promoted to 1x1.
+        dispersion: L, constant array (n x s) or callable of t; a
+            scalar value is 1x1 and a 1-d value diagonal.
         diffusion: DiffusionSpec for Q, or anything it accepts.
         initial_sampler: optional callable rng -> one draw of x(t0),
             shape (dim_state,).

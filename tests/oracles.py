@@ -101,6 +101,43 @@ def chain_kalman_filter(a_mat, l_mat, q_mat, h_vec, r_var, m0, p0,
                              increments, float(np.sum(increments)))
 
 
+# Gates on a particle filter's z-scores against chain_kalman_filter,
+# copied from bench/workloads.py (Z_MAX, Z_RMS, Z_LOG_ML).  They were
+# calibrated there over 180 filter runs of the ou and lineargauss models,
+# whose largest per-step |z| was 7.3, largest RMS over steps 2.8 and
+# largest log-marginal |z| 2.5.
+KALMAN_Z_MAX = 10.0
+KALMAN_Z_RMS = 4.0
+KALMAN_Z_LOG_ML = 6.0
+
+
+def kalman_z_scores(summaries, log_marginal, oracle, components):
+    """Monte Carlo z-scores of a filter run against the exact chain filter.
+
+    The standard error of a filtered mean at step k is sqrt(P_k / ESS_k),
+    with P_k the exact posterior variance and ESS_k the step's effective
+    sample size; that of the log marginal is sqrt(sum_k 1 / ESS_k).
+
+    Args:
+        summaries: the filter's summary rows after the initial one, each
+            with mean (n,) and ess.
+        log_marginal: the filter's log marginal likelihood.
+        oracle: ChainKalmanResult over the same readings.
+        components: state components to compare.
+
+    Returns:
+        (max |z|, rms z, log-marginal |z|).
+    """
+    means = np.array([r.mean for r in summaries])
+    ess = np.array([r.ess for r in summaries])
+    idx = list(components)
+    var = np.diagonal(oracle.covs, axis1=1, axis2=2)[:, idx]
+    se = np.sqrt(var / ess[:, None])
+    z = np.abs(means[:, idx] - oracle.means[:, idx]) / se
+    z_ml = abs(log_marginal - oracle.log_ml) / np.sqrt(np.sum(1.0 / ess))
+    return float(np.max(z)), float(np.sqrt(np.mean(z * z))), float(z_ml)
+
+
 def pendulum_ekf(a, q, obs_var, m0, p0, times, ys, t0=0.0, n_steps=10):
     """Continuous-discrete extended Kalman filter for the noisy pendulum.
 

@@ -47,7 +47,7 @@ def report(capsys, num, name, passed, detail):
 def test_01_martingale_unit_mean(capsys):
     t_start = time.time()
     model = SdeModel(1, 1, lambda x, t: np.sin(x), 1.0, 1.0)
-    imp = ImportanceSpec(drift=lambda x, t: np.zeros_like(x), dispersion=1.0)
+    imp = ImportanceSpec(drift=lambda x, t: np.zeros_like(x))
     grid = TimeGrid(0.0, 1.0, 100)
     n = 100000
     rng = np.random.default_rng(np.random.SeedSequence((10, 0)))
@@ -73,8 +73,7 @@ def test_02_closed_form_log_weight(capsys):
     # telescopes to the analytic value exactly
     a, b, q = 1.0, 0.0, 1.0
     model = SdeModel(1, 1, lambda x, t: np.full_like(x, a), 1.0, q)
-    imp = ImportanceSpec(drift=lambda x, t: np.full_like(x, b),
-                         dispersion=1.0)
+    imp = ImportanceSpec(drift=lambda x, t: np.full_like(x, b))
     grid = TimeGrid(0.0, 1.0, 100)
     n = 1000
     rng = np.random.default_rng(np.random.SeedSequence((20, 0)))
@@ -87,8 +86,7 @@ def test_02_closed_form_log_weight(capsys):
     # state-dependent drift: the error against a much finer shared-noise
     # reference shrinks by about a factor of two per halving of the step
     model_x = SdeModel(1, 1, lambda x, t: -x, 1.0, q)
-    imp0 = ImportanceSpec(drift=lambda x, t: np.zeros_like(x),
-                          dispersion=None)
+    imp0 = ImportanceSpec(drift=lambda x, t: np.zeros_like(x))
     fine_steps = 1280
     rng2 = np.random.default_rng(np.random.SeedSequence((20, 1)))
     fine = sample_brownian_increments(TimeGrid(0.0, 1.0, fine_steps),
@@ -219,7 +217,6 @@ def test_04_bootstrap_reduction_bit_exact(capsys):
                                           n_paths=n)
         res = propagate_coupled_split(model, imp, x1, x2, grid, incs)
         all_zero = all_zero and bool(np.all(res.llr == 0.0))
-        assert np.array_equal(res.state, res.proposal_state)
         x1, x2 = model.split(res.state)
     detail = "log-weight exactly 0.0 for 256 particles over 10 intervals"
     assert report(capsys, 4, "bootstrap reduction", all_zero, detail), detail

@@ -24,15 +24,14 @@ class TestStepLlr:
     @staticmethod
     def _llr(n_steps):
         model = SdeModel(1, 1, lambda x, t: np.full(x.shape, -1.0), 1.0, 0.01)
-        imp = ImportanceSpec(drift=lambda x, t: np.zeros(x.shape),
-                             dispersion=1.0)
+        imp = ImportanceSpec(drift=lambda x, t: np.zeros(x.shape))
         grid = TimeGrid(0.0, 0.1 * n_steps, n_steps)
         incs = BrownianIncrements(np.full((1, n_steps, 1), 0.01))
         return propagate_coupled(model, imp, np.zeros((1, 1)), grid,
                                  incs).llr
 
     def test_hand_value(self):
-        # [DERIVED] d = f - g = -1, q = 0.01, L = B = 1:
+        # [DERIVED] d = f - g = -1, q = 0.01, L = 1:
         # increment = d*(1/q)*dbeta - 0.5*d^2*(1/q)*dt
         #           = (-1)(100)(0.01) - 0.5(100)(0.1) = -6.
         np.testing.assert_allclose(self._llr(1), [-6.0], rtol=0, atol=1e-12)
@@ -71,7 +70,6 @@ class TestBootstrapReduction:
                                           n_paths=64)
         res = propagate_coupled(model, imp, np.ones((64, 1)), grid, incs)
         assert np.all(res.llr == 0.0)
-        np.testing.assert_array_equal(res.state, res.proposal_state)
 
     def test_split_model_llr_is_bitwise_zero(self):
         model = SplitSdeModel(
@@ -80,7 +78,6 @@ class TestBootstrapReduction:
             lambda x1, x2, t: -np.sin(x1),
             1.0, 0.01)
         imp = prior_proposal(model)
-        assert imp.dispersion is None
         grid = TimeGrid(0.0, 1.0, 10)
         rng = np.random.default_rng(1)
         incs = sample_brownian_increments(grid, model.diffusion, rng,
@@ -88,13 +85,11 @@ class TestBootstrapReduction:
         res = propagate_coupled_split(model, imp, np.full((32, 1), 1.5),
                                       np.zeros((32, 1)), grid, incs)
         assert np.all(res.llr == 0.0)
-        np.testing.assert_array_equal(res.state, res.proposal_state)
 
 
 def _full_path_twin(model):
     """The bootstrap proposal under a new drift object: the kernels do not
-    recognize it, so they run the full scaled-process and Lambda
-    recursion."""
+    recognize it, so they run the full Lambda recursion."""
     drift = prior_proposal(model).drift
     return ImportanceSpec(drift=lambda *args: drift(*args))
 
@@ -104,7 +99,7 @@ def _assert_same_bits(a, b):
 
 
 class TestPriorShortCut:
-    """Under prior_proposal the kernels alias s* to s and skip Lambda;
+    """Under prior_proposal the kernels skip Lambda and the target drift;
     the results must be the full recursion's, bit for bit."""
 
     @pytest.mark.parametrize("dim", [1, 2])
@@ -125,20 +120,8 @@ class TestPriorShortCut:
                                    _full_path_twin(model)))
         for res in (short, full):
             assert np.all(res.llr == 0.0) and not np.any(np.signbit(res.llr))
-        for name in ("state", "proposal_state", "llr", "model_noise"):
+        for name in ("state", "llr", "model_noise"):
             _assert_same_bits(getattr(short, name), getattr(full, name))
-
-    def test_own_dispersion_is_not_the_prior(self):
-        # The model's drift with a proposal dispersion B = 2 L is a
-        # scaled proposal: s* differs from s and Lambda is not zero.
-        model = _ou_model()
-        grid = TimeGrid(0.0, 1.0, 10)
-        incs = sample_brownian_increments(grid, model.diffusion,
-                                          np.random.default_rng(2), n_paths=20)
-        res = propagate_coupled(model, ImportanceSpec(model.drift, 2.0),
-                                np.ones((20, 1)), grid, incs)
-        assert np.all(res.state != res.proposal_state)
-        assert np.all(res.llr != 0.0)
 
     @pytest.mark.parametrize("kind", ["pendulum", "epidemic"])
     def test_split_kernel(self, kind):
@@ -162,7 +145,7 @@ class TestPriorShortCut:
                                    _full_path_twin(model)))
         for res in (short, full):
             assert np.all(res.llr == 0.0) and not np.any(np.signbit(res.llr))
-        for name in ("state", "proposal_state", "llr", "model_noise"):
+        for name in ("state", "llr", "model_noise"):
             _assert_same_bits(getattr(short, name), getattr(full, name))
 
 
@@ -206,9 +189,8 @@ class TestLambdaInverses:
 
 
 class TestBridgeKeepsOnePair:
-    """With dispersion None (B = L) the scaled step is the proposal
-    step, so a bridge's s* is its s, bit for bit, while Lambda is not
-    zero; the noise-free drift runs once per Euler step."""
+    """A bridge moves one pair of blocks: Lambda is not zero and the
+    noise-free drift runs once per Euler step."""
 
     def test_pendulum_bridge(self):
         rng = np.random.default_rng(6)
@@ -221,12 +203,10 @@ class TestBridgeKeepsOnePair:
         grid = TimeGrid(0.0, 0.5, 10)
         pset = ParticleSet(states, np.full(40, -np.log(40.0)))
         imp = models.pendulum_bridge_builder(1.0, 0.3, 0.25)(pset, grid, 1.2)
-        assert imp.dispersion is None
         incs = sample_brownian_increments(grid, model.diffusion, rng,
                                           n_paths=40)
         x1, x2 = model.split(states)
         res = propagate_coupled_split(model, imp, x1, x2, grid, incs)
-        assert res.proposal_state is res.state
         assert res.state.shape == (40, 2)
         assert np.all(res.llr != 0.0)
         assert len(calls) == grid.n_steps
@@ -249,10 +229,8 @@ class TestOneLoop:
         if bootstrap:
             imps = prior_proposal(plain), prior_proposal(split)
         else:
-            b_mat = np.array([[1.5, 0.0], [-0.2, 0.9]])
-            imps = (ImportanceSpec(lambda x, t: drift(x, t) + 0.3, b_mat),
-                    ImportanceSpec(lambda s1, s2, t: drift(s2, t) + 0.3,
-                                   b_mat))
+            imps = (ImportanceSpec(lambda x, t: drift(x, t) + 0.3),
+                    ImportanceSpec(lambda s1, s2, t: drift(s2, t) + 0.3))
         grid = TimeGrid(0.0, 1.0, 15)
         rng = np.random.default_rng(21)
         incs = sample_brownian_increments(grid, plain.diffusion, rng,
@@ -263,7 +241,7 @@ class TestOneLoop:
         b = propagate_coupled_split(split, imps[1], np.empty((30, 0)), x0,
                                     grid, incs, record_noise=True)
         assert np.all(a.llr == 0.0) == bootstrap
-        for name in ("state", "proposal_state", "llr", "model_noise"):
+        for name in ("state", "llr", "model_noise"):
             _assert_same_bits(getattr(a, name), getattr(b, name))
 
 
@@ -319,7 +297,7 @@ class TestNonFiniteNaming:
 
 class TestChainDensityRatio:
     def test_llr_equals_log_transition_density_ratio(self):
-        # With B = L the accumulated ratio must equal the exact log
+        # The accumulated ratio must equal the exact log
         # Radon-Nikodym derivative between the two Euler chains,
         # step by step along the realized path.
         q = 0.6
@@ -346,15 +324,14 @@ class TestChainDensityRatio:
             log_q = norm.logpdf(step, loc=g(x, t) * dt, scale=sd)
             manual += log_p - log_q
         np.testing.assert_allclose(res.llr, manual, rtol=0, atol=1e-10)
-        np.testing.assert_allclose(res.proposal_state[:, 0], path[-1, :, 0],
+        np.testing.assert_allclose(res.state[:, 0], path[-1, :, 0],
                                    rtol=0, atol=1e-12)
 
 
 class TestMartingale:
     def test_scalar_weight_mean_is_one(self):
         model = SdeModel(1, 1, lambda x, t: np.sin(x), 1.0, 1.0)
-        imp = ImportanceSpec(drift=lambda x, t: np.zeros_like(x),
-                             dispersion=1.0)
+        imp = ImportanceSpec(drift=lambda x, t: np.zeros_like(x))
         grid = TimeGrid(0.0, 1.0, 100)
         rng = np.random.default_rng(2026)
         n = 20000
@@ -372,8 +349,7 @@ class TestMartingale:
             return np.stack([-x[..., 1], np.tanh(x[..., 0])], axis=-1)
 
         model = SdeModel(2, 2, drift, np.eye(2), q)
-        imp = ImportanceSpec(drift=lambda x, t: np.zeros_like(x),
-                             dispersion=np.eye(2))
+        imp = ImportanceSpec(drift=lambda x, t: np.zeros_like(x))
         grid = TimeGrid(0.0, 1.0, 50)
         rng = np.random.default_rng(77)
         n = 20000
@@ -383,89 +359,6 @@ class TestMartingale:
         z = np.exp(res.llr)
         se = z.std(ddof=1) / np.sqrt(n)
         assert abs(z.mean() - 1.0) < 3.0 * se
-
-
-class TestScaledProposal:
-    def test_weighted_moments_match_target_chain(self):
-        # Proposal with dispersion B = 2 while the model has L = 1; the
-        # weighted scaled endpoint must reproduce the target Euler
-        # chain's mean and variance, which recurse in closed form.
-        q, rate, x0, t_end, n_steps = 1.0, 1.0, 1.0, 1.0, 20
-        model = SdeModel(1, 1, lambda x, t: -rate * x, 1.0, q)
-        imp = ImportanceSpec(drift=lambda x, t: np.zeros_like(x),
-                             dispersion=2.0)
-        grid = TimeGrid(0.0, t_end, n_steps)
-        rng = np.random.default_rng(5)
-        n = 200000
-        incs = sample_brownian_increments(grid, model.diffusion, rng,
-                                          n_paths=n)
-        res = propagate_coupled(model, imp, np.full((n, 1), x0), grid, incs)
-        z = np.exp(res.llr)
-        s_star = res.state[:, 0]
-
-        mean_chain, var_chain = x0, 0.0
-        dt = grid.dt
-        for _ in range(n_steps):
-            mean_chain *= 1.0 - rate * dt
-            var_chain = (1.0 - rate * dt) ** 2 * var_chain + q * dt
-
-        w_mean = np.mean(z * s_star)
-        se_mean = np.std(z * s_star, ddof=1) / np.sqrt(n)
-        assert abs(w_mean - mean_chain) < 4.0 * se_mean
-        second = np.mean(z * s_star ** 2)
-        se_second = np.std(z * s_star ** 2, ddof=1) / np.sqrt(n)
-        assert abs(second - (var_chain + mean_chain ** 2)) < 4.0 * se_second
-        # The raw proposal endpoint has variance B^2 q T, far from the
-        # target; the scaled one differs from it pathwise.
-        assert not np.allclose(res.state, res.proposal_state)
-
-    def test_scaled_endpoint_shares_increments(self):
-        # With g = 0 the scaled process is x0 + L sum(dbeta) regardless
-        # of B.
-        model = _ou_model(rate=0.7)
-        imp = ImportanceSpec(drift=lambda x, t: np.zeros_like(x),
-                             dispersion=2.0)
-        grid = TimeGrid(0.0, 1.0, 10)
-        rng = np.random.default_rng(8)
-        incs = sample_brownian_increments(grid, model.diffusion, rng,
-                                          n_paths=16)
-        res = propagate_coupled(model, imp, np.zeros((16, 1)), grid, incs)
-        np.testing.assert_allclose(res.state[:, 0],
-                                   incs.values.sum(axis=(1, 2)),
-                                   rtol=0, atol=1e-12)
-        np.testing.assert_allclose(res.proposal_state[:, 0],
-                                   2.0 * incs.values.sum(axis=(1, 2)),
-                                   rtol=0, atol=1e-12)
-
-
-    def test_one_dim_dispersion_is_its_diagonal(self):
-        # B is read by the model's rule for L: a 1-d constant is the
-        # diagonal matrix, not a singular row.
-        def drift(x, t):
-            return np.sin(x[..., ::-1]) - 0.5 * x
-
-        model = SdeModel(2, 2, drift, np.eye(2), np.diag([0.5, 1.2]))
-        grid = TimeGrid(0.0, 1.0, 10)
-        incs = sample_brownian_increments(grid, model.diffusion,
-                                          np.random.default_rng(3),
-                                          n_paths=12)
-        x0 = np.random.default_rng(4).normal(size=(12, 2))
-        diag, vec = (propagate_coupled(model, ImportanceSpec(drift, b), x0,
-                                       grid, incs)
-                     for b in (np.diag([1.0, 2.0]), np.array([1.0, 2.0])))
-        assert np.all(diag.llr != 0.0)
-        for name in ("state", "proposal_state", "llr"):
-            _assert_same_bits(getattr(vec, name), getattr(diag, name))
-
-    def test_per_particle_dispersion_is_rejected(self):
-        # B is one matrix for all particles: an (N, s, s) stack is not.
-        model = _ou_model(rate=1.0, q=1.0)
-        grid = TimeGrid(0.0, 1.0, 4)
-        incs = sample_brownian_increments(grid, model.diffusion,
-                                          np.random.default_rng(5), n_paths=3)
-        imp = ImportanceSpec(lambda x, t: np.zeros_like(x), np.ones((3, 1, 1)))
-        with pytest.raises(ValueError, match="proposal dispersion B"):
-            propagate_coupled(model, imp, np.zeros((3, 1)), grid, incs)
 
 
 class TestDiscretizationError:
@@ -529,7 +422,6 @@ class TestPriorProposal:
     def test_plain_model_uses_drift(self):
         model = _ou_model()
         imp = prior_proposal(model)
-        assert imp.dispersion is None
         x = np.array([[2.0]])
         np.testing.assert_array_equal(imp.drift(x, 0.0), model.drift(x, 0.0))
 

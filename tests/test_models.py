@@ -82,7 +82,6 @@ class TestPendulumPieces:
         states = np.tile([1.4, 0.1], (6, 1))
         pset = ParticleSet(states, np.full(6, -np.log(6.0)), 0)
         imp = builder(pset, TimeGrid(0.0, 0.1, 5), 1.3)
-        assert imp.dispersion is None
         g = imp.drift(None, states[:, 1:], 0.0)
         assert g.shape == (6, 1)
         assert np.all(np.isfinite(g))
@@ -212,15 +211,14 @@ class TestEpidemicBridge:
         return ParticleSet(states, np.full(4, -np.log(4.0)), 0,
                            stats=fam.init_stats(4)), fam
 
-    def test_returns_positive_dispersion(self):
-        # The bridge keeps the model's dispersion and moves the log rate
-        # toward the count: down for 120 and up for 2000, either side of
-        # the free-running forecast N theta, about 1e4 * 0.06 = 600.
+    def test_drift_sign_follows_the_count(self):
+        # The bridge drift moves the log rate toward the count: down for
+        # 120 and up for 2000, either side of the free-running forecast
+        # N theta, about 1e4 * 0.06 = 600.
         pset, fam = self._pset(np.log(1.6))
         builder = epidemic_bridge_builder(1.0, 0.001, fam)
         for count, sign in ((120, -1.0), (2000, 1.0)):
             imp = builder(pset, TimeGrid(0.0, 1.0, 10), count)
-            assert imp.dispersion is None
             g = imp.drift(None, None, pset.states[:, 2:], 0.0)
             assert g.shape == (4, 1)
             assert np.all(np.isfinite(g))
@@ -233,7 +231,6 @@ class TestEpidemicBridge:
         assert 15.0 > EKF_LOG_RATE_CAP
         builder = epidemic_bridge_builder(1.0, 0.001, fam)
         imp = builder(pset, TimeGrid(0.0, 1.0, 10), 5)
-        assert imp.dispersion is None
         g = imp.drift(None, None, pset.states[:, 2:], 0.0)
         assert np.all(np.isfinite(g))
 
@@ -299,7 +296,6 @@ class TestBridgeRecipe:
         # Jacobian, the hand-composed one boxes it for each.
         builder, pset, y, ref, block = self._recipe_case(kind)
         imp = builder(pset, TimeGrid(0.0, 1.0, 10), y)
-        assert imp.dispersion is None and ref.dispersion is None
         g = imp.drift(block, 0.0)
         assert g.tobytes() == ref.drift(block, 0.0).tobytes()
 

@@ -203,9 +203,9 @@ class TestBuildBridge:
         return GaussianBlock(mean, cov)
 
     @staticmethod
-    def _scaled_endpoint(x_prev, imp, q, t_end, n_steps, rng):
+    def _endpoint(x_prev, imp, q, t_end, n_steps, rng):
         # The OU model -x: the target drift differs from the bridge's, so
-        # Lambda is nonzero, but s* still moves by g dt + dbeta.
+        # Lambda is nonzero, but s still moves by g dt + dbeta.
         model = SdeModel(1, 1, lambda x, t: -x, 1.0, q)
         grid = TimeGrid(0.0, t_end, n_steps)
         incs = sample_brownian_increments(grid, model.diffusion, rng,
@@ -215,8 +215,8 @@ class TestBuildBridge:
         return res.state[:, 0], incs.values.sum(axis=(1, 2))
 
     def test_endpoint_identity_per_path(self):
-        # The scaled process s*, which the filter weights and reports,
-        # must land exactly on m + beta(T), path by path.
+        # The state the filter weights and reports must land exactly on
+        # m + beta(T), path by path.
         q, t_end, n_steps = 0.8, 0.5, 7
         n = 512
         rng = np.random.default_rng(9)
@@ -225,13 +225,12 @@ class TestBuildBridge:
         m_k = rng.normal(size=n)
         p_k = 0.3 + 0.1 * rng.random(n)
         imp = build_bridge(x_prev, self._posterior(m_k, p_k), t_end, index=1)
-        assert imp.dispersion is None
-        end, beta_total = self._scaled_endpoint(x_prev, imp, q, t_end,
+        end, beta_total = self._endpoint(x_prev, imp, q, t_end,
                                                 n_steps, rng)
         np.testing.assert_allclose(end, m_k + beta_total, rtol=0, atol=1e-10)
 
     def test_endpoint_law_kolmogorov_smirnov(self):
-        # [DERIVED] s*(T) ~ N(m_k, q T) = N(-1.2, 0.5^2) for q = 0.25,
+        # [DERIVED] s(T) ~ N(m_k, q T) = N(-1.2, 0.5^2) for q = 0.25,
         # T = 1; the posterior variance (here 0.04) plays no part.
         q, t_end = 0.25, 1.0
         n = 4000
@@ -240,7 +239,7 @@ class TestBuildBridge:
         imp = build_bridge(x_prev, self._posterior(np.full(n, -1.2),
                                                    np.full(n, 0.04)),
                            t_end, index=1)
-        end, _ = self._scaled_endpoint(x_prev, imp, q, t_end, 10, rng)
+        end, _ = self._endpoint(x_prev, imp, q, t_end, 10, rng)
         stat = sps.kstest(end, sps.norm(loc=-1.2, scale=0.5).cdf)
         assert stat.pvalue > 1e-3
 
@@ -270,17 +269,16 @@ class TestBuildBridge:
         imp = build_bridge(x_prev, self._posterior(np.zeros(3),
                                                    [0.0, 0.3, 1e300]),
                            0.5, index=1)
-        assert imp.dispersion is None
         g = imp.drift(None, x_prev[:, 1:], 0.0)
         np.testing.assert_array_equal(g, np.zeros((3, 1)))
 
 
 class TestInformativeOuBridge:
     """The CLI's OU bridge where the readings pin the state down (r = 0.01
-    against q dt = 1).  The bridge must aim s*, the process the filter
-    weights: a proposal dispersion fitted to the EKF variance sends s*
-    past its target by sqrt(q dt / P_k), about 10 here, and the log
-    marginal to the order of -1e56 with step ESS near 0.
+    against q dt = 1).  The bridge steers with the model's own
+    dispersion: a proposal dispersion fitted to the EKF variance sent the
+    weighted state past its target by sqrt(q dt / P_k), about 10 here,
+    and the log marginal to the order of -1e56 with step ESS near 0.
     """
 
     P = dict(rate=1.0, q=1.0, obs_var=0.01, x0_mean=0.0, x0_var=1.0)

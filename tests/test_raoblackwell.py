@@ -460,9 +460,9 @@ def _spy_finish_step(monkeypatch):
 
 
 def test_rb_gauss_prior_short_cut_is_bit_identical(monkeypatch):
-    # Under prior_proposal rb_gauss_step aliases the scaled states to the
-    # proposal states and skips Lambda; a new lambda around the same
-    # drift forces the full recursion, which must give the same bits.
+    # Under prior_proposal rb_gauss_step skips Lambda and the target
+    # drift; a new lambda around the same drift forces the full
+    # recursion, which must give the same bits.
     model = _nonlinear_cond_model()
     seen = _spy_finish_step(monkeypatch)
     stoch = model.drift_stoch
@@ -492,8 +492,7 @@ def test_rb_gauss_sampled_path_is_the_split_kernel(monkeypatch):
     model = _nonlinear_cond_model()
     split = SplitSdeModel(1, 1, 1, model.drift_det, model.drift_stoch, 1.0,
                           0.4)
-    imp = ImportanceSpec(drift=lambda x2, x3, t: -0.5 * x3 + 0.2 * x2 + 0.3,
-                         dispersion=np.array([[1.3]]))
+    imp = ImportanceSpec(drift=lambda x2, x3, t: -0.5 * x3 + 0.2 * x2 + 0.3)
     grid = TimeGrid(0.0, 0.5, 10)
     seen = _spy_finish_step(monkeypatch)
     pset = rb.init_rb_gauss_set(model, np.random.default_rng(3), 40)
@@ -517,8 +516,7 @@ def test_rb_gauss_moments_move_from_each_step_start(monkeypatch):
     model = _nonlinear_cond_model()
     split = SplitSdeModel(1, 1, 1, model.drift_det, model.drift_stoch, 1.0,
                           0.4)
-    imp = ImportanceSpec(drift=lambda x2, x3, t: -0.5 * x3 + 0.3,
-                         dispersion=np.array([[1.3]]))
+    imp = ImportanceSpec(drift=lambda x2, x3, t: -0.5 * x3 + 0.3)
     seen = []
     condition = rb._gaussian_condition
 
@@ -767,7 +765,7 @@ class TestResampleMove:
         # (so the recorded model noise differs from the drawn noise).
         model = SdeModel(1, 1, lambda x, t: -x, 1.0, 0.5,
                          initial_sampler=lambda g: g.normal(size=1))
-        imp = ImportanceSpec(drift=lambda x, t: 0.5 - x, dispersion=1.0)
+        imp = ImportanceSpec(drift=lambda x, t: 0.5 - x)
         family = invchi2_family(3.0, 0.2)
         cfg = FilterConfig(n_particles=40, n_steps=4, seed=2,
                            ess_threshold=ess_threshold, move_steps=2)

@@ -6,8 +6,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import solve_ivp
 
-from sdepf import (DiffusionSpec, SdeModel, SplitSdeModel, TimeGrid,
-                   integrate_sde, sample_brownian_increments)
+from sdepf import (DiffusionSpec, FilterConfig, ImportanceSpec, SdeModel,
+                   SplitSdeModel, TimeGrid, gaussian_measurement,
+                   integrate_sde, run_filter, sample_brownian_increments)
 from sdepf._linalg import mat_vec
 from sdepf.exceptions import DiffusionError, IntegrationError
 from sdepf.sde import BrownianIncrements
@@ -59,6 +60,13 @@ class TestDiffusionSpec:
         assert not spec.constant
         assert spec.dim is None
         assert spec.at(1.0)[0, 0] == 2.0
+
+    def test_callable_vector_is_its_diagonal(self):
+        # A callable Q is read by the constant's rule: a 1-d value is the
+        # diagonal matrix.
+        vec = np.array([0.3, 0.4])
+        np.testing.assert_array_equal(DiffusionSpec(lambda t: vec).at(0.5),
+                                      DiffusionSpec(vec).at(0.5))
 
     def test_rejects_asymmetric(self):
         spec = DiffusionSpec(np.array([[1.0, 0.5], [0.0, 1.0]]))
@@ -151,6 +159,46 @@ class TestEulerStep:
         out = self._step(lambda x, t: np.zeros(2), np.array([[0.0], [1.0]]),
                          [0.0, 0.0], [0.25])
         np.testing.assert_allclose(out, [0.0, 0.25], atol=1e-16)
+
+
+class TestCallableDispersion:
+    """A callable L is read by the rule for a constant one: a 1-d value
+    is the diagonal matrix, so both give the same bits."""
+
+    L_DIAG = np.array([1.0, 2.0])
+    Q = np.diag([0.5, 1.2])
+
+    @staticmethod
+    def _drift(x, t):
+        return np.sin(x[..., ::-1]) - 0.5 * x
+
+    def _models(self):
+        def sampler(rng):
+            return rng.normal(size=2)
+        return [SdeModel(2, 2, self._drift, l_val, self.Q,
+                         initial_sampler=sampler)
+                for l_val in (self.L_DIAG, lambda t: self.L_DIAG)]
+
+    def test_integrate_sde(self):
+        grid = TimeGrid(0.0, 1.0, 10)
+        const, fn = self._models()
+        incs = sample_brownian_increments(grid, const.diffusion,
+                                          np.random.default_rng(3), n_paths=8)
+        x0 = np.random.default_rng(4).normal(size=(8, 2))
+        a, b = (integrate_sde(m, x0, grid, incs) for m in (const, fn))
+        assert a.tobytes() == b.tobytes()
+
+    def test_run_filter_under_weighted_proposal(self):
+        imp = ImportanceSpec(drift=lambda x, t: self._drift(x, t) + 0.3)
+        cfg = FilterConfig(n_particles=50, n_steps=5, seed=3)
+        a, b = (run_filter(m, imp, gaussian_measurement(0, 0.25),
+                           [0.5, 1.0, 1.5], [0.1, -0.2, 0.3], cfg,
+                           method="sir")
+                for m in self._models())
+        assert a.final_set.states.tobytes() == b.final_set.states.tobytes()
+        assert a.final_set.log_weights.tobytes() \
+            == b.final_set.log_weights.tobytes()
+        assert a.log_marginal == b.log_marginal
 
 
 class TestIntegrateSde:
