@@ -22,8 +22,7 @@ import numpy as np
 
 from . import models
 from ._linalg import mat_mul, mat_vec
-from .exceptions import (ConfigError, DegeneracyError, DiffusionError,
-                         IntegrationError, SingularMatrixError)
+from .exceptions import ConfigError, SdepfError
 from .filtering import FilterConfig, gaussian_measurement, run_filter
 from .girsanov import (ImportanceSpec, estimate_kl, prior_proposal,
                        propagate_coupled, propagate_coupled_split)
@@ -71,8 +70,8 @@ def load_config(path, overrides):
             command line.
 
     Returns:
-        Dict with keys model, filter, simulate, prior, kl, io, seed,
-        threads; every value fully defaulted and type checked.
+        Dict with keys model, filter, simulate, prior, kl and io (with
+        seed and threads); every value fully defaulted and type checked.
 
     Raises:
         ConfigError: unknown sections/keys/kinds or unparseable values.
@@ -169,12 +168,12 @@ def load_config(path, overrides):
     filt["dump_steps"] = dump
 
     return {"model": model, "filter": filt, "simulate": sim, "prior": prior,
-            "kl": kl, "io": io, "seed": io["seed"], "threads": io["threads"]}
+            "kl": kl, "io": io}
 
 
 def _provenance(cfg, command):
     """Header lines echoing the resolved configuration (not I/O paths)."""
-    lines = ["# sdepf %s" % command, "# seed = %d" % cfg["seed"]]
+    lines = ["# sdepf %s" % command, "# seed = %d" % cfg["io"]["seed"]]
     # [prior] configures the conjugate family of cdrb_param.
     skip = {"prior": "cdrb_param" not in _KINDS[cfg["model"]["kind"]].methods,
             "kl": command != "kl", "simulate": command != "simulate"}
@@ -426,7 +425,7 @@ _KINDS = {
 def cmd_simulate(cfg):
     """Simulate a truth path and measurements, write truth + measurement CSVs."""
     entry = _KINDS[cfg["model"]["kind"]]
-    seed = cfg["seed"]
+    seed = cfg["io"]["seed"]
     out = cfg["io"]["out"]
     times, states, readings = entry.truth(cfg["model"], cfg["simulate"], seed)
     header = _provenance(cfg, "simulate")
@@ -467,7 +466,7 @@ def cmd_filter(cfg):
     fc = FilterConfig(n_particles=filt["particles"],
                       n_steps=filt["steps_per_interval"],
                       ess_threshold=filt["ess_threshold"],
-                      seed=cfg["seed"], threads=cfg["threads"])
+                      seed=cfg["io"]["seed"], threads=cfg["io"]["threads"])
 
     extra = {}
     dumps = {}
@@ -505,7 +504,7 @@ def cmd_filter(cfg):
             row += [extra.get(s.k, float("nan"))]
         rows.append(row)
     summary_path = _write_csv(out, "summary.csv", header, cols, rows)
-    print("seed = %d" % cfg["seed"])
+    print("seed = %d" % cfg["io"]["seed"])
     print("wrote %s" % summary_path)
 
     if theta:
@@ -532,7 +531,7 @@ def cmd_filter(cfg):
 def cmd_kl(cfg):
     """Estimate the drift-mismatch KL rate, write kl.csv."""
     p = cfg["kl"]
-    seed = cfg["seed"]
+    seed = cfg["io"]["seed"]
     rng = np.random.default_rng(np.random.SeedSequence(seed))
     grid = TimeGrid(0.0, p["horizon"], p["steps"])
     sigma = p["sigma2"]
@@ -675,8 +674,7 @@ def main(argv=None):
     except (ConfigError, ValueError) as exc:
         print("configuration error: %s" % exc, file=sys.stderr)
         return 2
-    except (_RunError, DegeneracyError, IntegrationError, SingularMatrixError,
-            DiffusionError) as exc:
+    except (_RunError, SdepfError) as exc:
         print("numerical failure: %s" % exc, file=sys.stderr)
         return 3
     except OSError as exc:

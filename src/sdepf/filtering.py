@@ -2,8 +2,8 @@
 
 Weights are carried in log domain and normalized after every measurement
 update.  All randomness comes from one seed tree: the master seed spawns
-four generators, for initial states, Brownian noise, resampling and
-summaries, and a fifth for resample-move sweeps when those are enabled.
+five generators, for initial states, Brownian noise, resampling,
+summaries and resample-move sweeps.
 Each interval draws one standard-normal block for the whole population
 on the calling thread, before the particles are split into chunks, and
 each chunk propagates with its slot slice of that block.  So runs are
@@ -17,9 +17,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .exceptions import DegeneracyError, IntegrationError
+from .exceptions import DegeneracyError, IntegrationError, SdepfError
 from .girsanov import propagate_coupled, propagate_coupled_split
-from .sde import SplitSdeModel, TimeGrid, sample_brownian_increments
+from .sde import (SplitSdeModel, TimeGrid, _check_shape,
+                  sample_brownian_increments)
 
 __all__ = [
     "ParticleSet", "MeasurementModel", "StepStats", "FilterConfig",
@@ -38,7 +39,6 @@ class ParticleSet:
         states: sampled states, shape (N, n).  For split models this is
             the concatenated (x1, x2) state.
         log_weights: normalized log weights, shape (N,).
-        step_index: number of measurement updates applied so far.
         gauss: optional marginalized Gaussian block (mean (N, p),
             cov (N, p, p)).
         stats: optional per-particle sufficient statistics array (N, ...).
@@ -48,7 +48,6 @@ class ParticleSet:
 
     states: np.ndarray
     log_weights: np.ndarray
-    step_index: int = 0
     gauss: object = None
     stats: object = None
     path: object = None
@@ -67,8 +66,8 @@ class ParticleSet:
             else type(self.gauss)(self.gauss.mean[idx], self.gauss.cov[idx])
         stats = None if self.stats is None else self.stats[idx]
         path = None if self.path is None else self.path.take(idx)
-        return ParticleSet(self.states[idx], self.log_weights[idx],
-                           self.step_index, gauss, stats, path)
+        return ParticleSet(self.states[idx], self.log_weights[idx], gauss,
+                           stats, path)
 
 
 @dataclass
@@ -111,28 +110,26 @@ def gaussian_measurement(h, var):
 class StepStats:
     """Diagnostics from one measurement update."""
 
-    t: float
     ess: float
     resampled: bool
     log_ml_increment: float
 
 
-def seed_streams(seed, moves=False):
+def seed_streams(seed):
     """The run's generators, one per use of randomness.
 
     Args:
         seed: master seed (int or SeedSequence entropy).
-        moves: also return the generator for resample-move sweeps.
 
     Returns:
-        (init_rng, noise_rng, resample_rng, summary_rng), the first four
-        children of SeedSequence(seed): initial state draws, Brownian
-        noise blocks, resampling draws and summary sampling (e.g.
-        posterior quantiles).  With moves, a fifth child's generator
-        follows; a child depends only on its index, so the first four
-        are the same either way.
+        (init_rng, noise_rng, resample_rng, summary_rng, move_rng), the
+        five children of SeedSequence(seed): initial state draws,
+        Brownian noise blocks, resampling draws, summary sampling (e.g.
+        posterior quantiles) and resample-move sweeps.  A child depends
+        only on its index, so a run that never moves draws the same
+        numbers from the first four as one that does.
     """
-    children = np.random.SeedSequence(seed).spawn(5 if moves else 4)
+    children = np.random.SeedSequence(seed).spawn(5)
     return tuple(np.random.default_rng(c) for c in children)
 
 
@@ -162,7 +159,7 @@ def init_particle_set(sampler, rng, n, *, gauss=None, stats=None):
     if not np.all(np.isfinite(states)):
         raise IntegrationError("initial sampler produced non-finite states")
     lw = np.full(n, -np.log(n))
-    return ParticleSet(states, lw, 0, gauss, stats)
+    return ParticleSet(states, lw, gauss, stats)
 
 
 def draw_increments(grid, diffusion, noise_rng, n):
@@ -223,14 +220,15 @@ def finish_step(pset, new_states, llr, loglik, t, *, gauss=None, stats=None,
 
     The one place where weights are normalized (by their log-sum-exp, the
     step's log-ML increment) and ESS = 1 / sum(w^2) is taken.  A NaN or
-    +inf weight raises IntegrationError, all -inf DegeneracyError.
+    +inf weight raises IntegrationError, all -inf DegeneracyError; both
+    name t, and run_filter adds the step.
 
     Args:
         pset: particle set before the step (normalized log weights).
         new_states: propagated states (N, n).
         llr: log likelihood ratios from propagation (N,).
         loglik: measurement log likelihoods (N,); -inf entries allowed.
-        t: measurement time (for diagnostics).
+        t: measurement time (named in errors).
         gauss, stats, path: payloads carried into the new set.
         ess_threshold: resample when ESS < threshold * N.
         resample_rng: generator used if resampling triggers.
@@ -238,24 +236,23 @@ def finish_step(pset, new_states, llr, loglik, t, *, gauss=None, stats=None,
     Returns:
         (ParticleSet, StepStats).
     """
-    k = pset.step_index + 1
     lw_un = pset.log_weights + llr + loglik
     if np.any(np.isnan(lw_un)) or np.any(lw_un == np.inf):
         raise IntegrationError("non-finite log weights at t=%g" % t)
     m = np.max(lw_un)
     if m == -np.inf:
-        raise DegeneracyError("all particle weights vanished at step %d" % k)
+        raise DegeneracyError("all particle weights vanished at t=%g" % t)
     log_ml_inc = float(m + np.log(np.sum(np.exp(lw_un - m))))
     lw = lw_un - log_ml_inc
     w = np.exp(lw)
     ess = float(1.0 / np.sum(w * w))
-    out = ParticleSet(new_states, lw, k, gauss, stats, path)
+    out = ParticleSet(new_states, lw, gauss, stats, path)
     resampled = ess < ess_threshold * pset.n
     if resampled:
         if resample_rng is None:
             raise ValueError("resampling triggered but no resample_rng given")
         out = systematic_resample(out, resample_rng)
-    return out, StepStats(t=t, ess=ess, resampled=resampled,
+    return out, StepStats(ess=ess, resampled=resampled,
                           log_ml_increment=log_ml_inc)
 
 
@@ -372,10 +369,11 @@ class FilterConfig:
             coordinates (initial state and standardized model noise),
             each proposing a fresh initial state and then a
             Crank-Nicolson perturbation of the noise; both leave the
-            posterior invariant.  Sweeps draw from a fifth seed-tree
-            child, so with 0 nothing extra is stored or drawn and runs
-            are unchanged.  Cost per resampling is about 2 * move_steps
-            re-simulations of every path from t = 0.
+            posterior invariant.  Sweeps draw from the seed tree's
+            fifth child, so with 0 nothing extra is stored or drawn and
+            the other four children draw the same numbers.  Cost per
+            resampling is about 2 * move_steps re-simulations of every
+            path from t = 0.
     """
 
     n_particles: int
@@ -418,7 +416,7 @@ def _chunk_map(pset, threads, phase):
     if threads <= 1 or n < 2 * threads:
         return phase(slice(None))
     bounds = np.linspace(0, n, threads + 1).astype(int)
-    slices = [slice(a, b) for a, b in zip(bounds[:-1], bounds[1:]) if b > a]
+    slices = [slice(a, b) for a, b in zip(bounds[:-1], bounds[1:])]
     with concurrent.futures.ThreadPoolExecutor(max_workers=threads) as ex:
         parts = list(ex.map(phase, slices))
     return tuple(np.concatenate(cols, axis=0) for cols in zip(*parts))
@@ -484,8 +482,8 @@ def run_filter(model, proposal, meas_model, times, ys, config, *,
         theta_q05, theta_q50 and theta_q95, in that order.
 
     Raises:
-        IntegrationError: if step k's proposal, propagation or weights
-            become non-finite; the message starts with "step k: ".
+        SdepfError: an error raised inside step k comes back with its
+            type and the message "step k: <message>".
     """
     times = np.asarray(times, dtype=float)
     if times.ndim != 1:
@@ -540,15 +538,18 @@ def run_filter(model, proposal, meas_model, times, ys, config, *,
     else:
         raise ValueError("unknown method %r" % (method,))
 
-    init_rng, noise_rng, resample_rng, summary_rng, *move_rng = seed_streams(
-        config.seed, moves=config.move_steps > 0)
+    init_rng, noise_rng, resample_rng, summary_rng, move_rng = seed_streams(
+        config.seed)
     pset = init(init_rng)
+    _check_shape("initial states", pset.states.shape, (n, (
+        model.dim_det + model.dim_stoch if method == "rb_gauss"
+        else model.dim_state)))
     step_kw = dict(ess_threshold=config.ess_threshold,
                    resample_rng=resample_rng, noise_rng=noise_rng,
                    threads=config.threads)
     if config.move_steps:
         pset.path = rb.PathRecord.start(pset.states, model.dim_noise)
-        step_kw.update(move_steps=config.move_steps, move_rng=move_rng[0])
+        step_kw.update(move_steps=config.move_steps, move_rng=move_rng)
 
     def summarize(pset, k, t, ess, log_ml, resampled):
         w = pset.weights
@@ -577,8 +578,8 @@ def run_filter(model, proposal, meas_model, times, ys, config, *,
         grid = TimeGrid(t_prev, float(t_k), config.n_steps)
         try:
             pset, st = step(pset, y_k, grid, **step_kw)
-        except IntegrationError as exc:
-            raise IntegrationError("step %d: %s" % (k, exc)) from exc
+        except SdepfError as exc:
+            raise type(exc)("step %d: %s" % (k, exc)) from exc
         log_ml += st.log_ml_increment
         summaries.append(summarize(pset, k, float(t_k), st.ess, log_ml,
                                    st.resampled))

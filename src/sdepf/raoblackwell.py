@@ -25,14 +25,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._linalg import (TimeMatrix, guarded_inv, log_mvn_density, mat_mul,
+from ._linalg import (as_matrix, guarded_inv, log_mvn_density, mat_mul,
                       mat_vec, symmetrize)
 from .exceptions import IntegrationError
 from .filtering import (ParticleSet, _advance, _as_builder, _chunk_map,
                         _propagate, draw_increments, finish_step,
                         init_particle_set)
 from .girsanov import _coupled_loop, prior_proposal
-from .sde import BrownianIncrements, DiffusionSpec
+from .sde import BrownianIncrements, DiffusionSpec, _check_shape, _wrap_noise
 
 __all__ = [
     "GaussianBlock", "CondGaussModel", "ConjugateFamily", "repair_cov",
@@ -63,8 +63,9 @@ class CondGaussModel:
     """Conditionally linear-Gaussian SDE model (see module docstring).
 
     The callables F, f1 and V take (x2, x3, t) and are batched over
-    leading axes.  H and R may be constant arrays or callables of
-    (x2, x3).  dim_det may be zero (no x2 block).
+    leading axes.  H (m x dim_lin, or one row) and R are constant
+    arrays, L and Q dim_stoch x dim_stoch.  dim_det may be zero (no x2
+    block).
     """
 
     dim_lin: int
@@ -84,12 +85,17 @@ class CondGaussModel:
     init_gauss: object = None
 
     def __post_init__(self):
-        if not isinstance(self.diffusion, DiffusionSpec):
-            self.diffusion = DiffusionSpec(self.diffusion)
+        _wrap_noise(self, self.dim_stoch, self.dim_stoch)
         if not isinstance(self.lin_diffusion, DiffusionSpec):
             self.lin_diffusion = DiffusionSpec(self.lin_diffusion)
-        if not isinstance(self.dispersion, TimeMatrix):
-            self.dispersion = TimeMatrix(self.dispersion, "dispersion L")
+        h_shape = np.shape(self.meas_matrix)
+        _check_shape("H", h_shape, h_shape[:-1] + (self.dim_lin,))
+        if self.init_gauss is not None:
+            self.init_gauss = (np.ravel(self.init_gauss[0]).astype(float),
+                               as_matrix(self.init_gauss[1], "init_gauss P0"))
+            _check_shape("init_gauss (m0, P0)",
+                         tuple(np.shape(v) for v in self.init_gauss),
+                         ((self.dim_lin,), (self.dim_lin,) * 2))
 
     def split(self, x):
         return x[..., :self.dim_det], x[..., self.dim_det:]
@@ -162,13 +168,9 @@ def init_rb_gauss_set(model, rng, n):
     """Equally weighted initial set of n particles drawn from rng by the
     model's initial sampler, with the model's init_gauss as every
     particle's Gaussian block."""
-    gauss = model.init_gauss
-    if gauss is None:
+    if model.init_gauss is None:
         raise ValueError("no initial Gaussian block available")
-    m0 = np.asarray(gauss[0], dtype=float).reshape(-1)
-    p0 = np.asarray(gauss[1], dtype=float)
-    if p0.ndim == 0:
-        p0 = p0.reshape(1, 1)
+    m0, p0 = model.init_gauss
     block = GaussianBlock(np.tile(m0, (n, 1)), np.tile(p0, (n, 1, 1)))
     return init_particle_set(model.initial_sampler, rng, n, gauss=block)
 
@@ -223,13 +225,8 @@ def rb_gauss_step(pset, model, proposal, y, grid, *, ess_threshold=0.5,
         return res.state, mean, cov, res.llr
 
     states, mean, cov, llr = _chunk_map(pset, threads, phase)
-    x2s, x3s = model.split(states)
-    h = model.meas_matrix(x2s, x3s) if callable(model.meas_matrix) \
-        else model.meas_matrix
-    r = model.meas_cov(x2s, x3s) if callable(model.meas_cov) \
-        else model.meas_cov
     mean_post, cov_post, pred, s_mat, s_inv = _gaussian_condition(
-        mean, cov, h, r, y, grid.t1)
+        mean, cov, model.meas_matrix, model.meas_cov, y, grid.t1)
     resid = np.asarray(y, dtype=float) - pred
     loglik = log_mvn_density(resid, s_mat, s_inv)
     gauss = GaussianBlock(mean_post, repair_cov(cov_post))
@@ -389,8 +386,7 @@ def _resample_move(pset, model, family, cond_fn, sweeps, rng, threads=1):
                              x0_new[sl], xi[sl], log_u[sl])
 
         states, stats, x0, noise, loglik = _chunk_map(pset, threads, phase)
-        pset = ParticleSet(states, pset.log_weights, pset.step_index,
-                           pset.gauss, stats,
+        pset = ParticleSet(states, pset.log_weights, pset.gauss, stats,
                            PathRecord(x0, noise, loglik, pset.path.grids,
                                       pset.path.ys))
     return pset
@@ -482,7 +478,6 @@ class ConjugateFamily:
     array.
 
     Attributes:
-        name: short identifier.
         init_stats: callable n -> initial stats (n, k).
         update: (stats, u, y) -> updated stats.
         log_marginal: (y, u, stats) -> predictive log likelihood (n,).
@@ -494,7 +489,6 @@ class ConjugateFamily:
             in particle order.
     """
 
-    name: str
     init_stats: object
     update: object
     log_marginal: object
@@ -569,8 +563,8 @@ def invchi2_family(nu0, s20):
         # Divide into the freshly repeated scales: two K-sized blocks.
         return np.divide(nu_s2, rng.chisquare(nu, m), out=nu_s2)
 
-    return ConjugateFamily("invchi2", init_stats, update, log_marginal,
-                           mean, point_estimate, sample)
+    return ConjugateFamily(init_stats, update, log_marginal, mean,
+                           point_estimate, sample)
 
 
 def gamma_poisson_family(alpha0, beta0):
@@ -625,5 +619,5 @@ def gamma_poisson_family(alpha0, beta0):
         # rng.gamma(a, b) is b * rng.standard_gamma(a), bit for bit.
         return rng.standard_gamma(alpha, m) * scale
 
-    return ConjugateFamily("gamma_poisson", init_stats, update, log_marginal,
-                           mean, mean, sample)
+    return ConjugateFamily(init_stats, update, log_marginal, mean, mean,
+                           sample)

@@ -120,7 +120,7 @@ class SdeModel:
         drift: callable (x, t) -> drift, batched over leading axes of x.
         dispersion: L, constant array (n x s) or callable of t; a
             scalar value is 1x1 and a 1-d value diagonal.
-        diffusion: DiffusionSpec for Q, or anything it accepts.
+        diffusion: DiffusionSpec for Q (s x s), or anything it accepts.
         initial_sampler: optional callable rng -> one draw of x(t0),
             shape (dim_state,).
     """
@@ -133,10 +133,27 @@ class SdeModel:
     initial_sampler: object = None
 
     def __post_init__(self):
-        if not isinstance(self.diffusion, DiffusionSpec):
-            self.diffusion = DiffusionSpec(self.diffusion)
-        if not isinstance(self.dispersion, TimeMatrix):
-            self.dispersion = TimeMatrix(self.dispersion, "dispersion L")
+        _wrap_noise(self, self.dim_state, self.dim_noise)
+
+
+def _check_shape(name, shape, want):
+    """ValueError naming both shapes unless shape == want."""
+    if shape != want:
+        raise ValueError("%s: shape %s, but the model's dimensions need %s"
+                         % (name, shape, want))
+
+
+def _wrap_noise(model, rows, s):
+    """Wrap a model's L and Q as a TimeMatrix and a DiffusionSpec; a
+    constant L must be rows x s and a constant Q s x s."""
+    if not isinstance(model.diffusion, DiffusionSpec):
+        model.diffusion = DiffusionSpec(model.diffusion)
+    if not isinstance(model.dispersion, TimeMatrix):
+        model.dispersion = TimeMatrix(model.dispersion, "dispersion L")
+    for mat, want in ((model.dispersion, (rows, s)),
+                      (model.diffusion._mat, (s, s))):
+        if mat.constant:
+            _check_shape(mat.name, mat.at(0.0).shape, want)
 
 
 @dataclass
@@ -170,10 +187,7 @@ class SplitSdeModel:
             raise ValueError("stochastic block must be square in the noise "
                              "(dim_stoch=%d, dim_noise=%d)"
                              % (self.dim_stoch, self.dim_noise))
-        if not isinstance(self.diffusion, DiffusionSpec):
-            self.diffusion = DiffusionSpec(self.diffusion)
-        if not isinstance(self.dispersion, TimeMatrix):
-            self.dispersion = TimeMatrix(self.dispersion, "dispersion L")
+        _wrap_noise(self, self.dim_stoch, self.dim_noise)
 
     @property
     def dim_state(self):
@@ -196,14 +210,6 @@ class BrownianIncrements:
         self.values = np.asarray(values, dtype=float)
         if self.values.ndim < 2:
             raise ValueError("increments need shape (..., n_steps, s)")
-
-    @property
-    def n_steps(self):
-        return self.values.shape[-2]
-
-    @property
-    def dim(self):
-        return self.values.shape[-1]
 
     @classmethod
     def from_noise(cls, grid, diffusion, noise):

@@ -262,6 +262,66 @@ def _gauss_legendre(a, b, n_nodes, n_panels):
             (half[:, None] * w).ravel())
 
 
+
+@dataclass
+class NoiseVariancePosterior:
+    """Exact posterior of a measurement variance v after each reading.
+
+    Attributes:
+        log_ml: log p(y_1:k), (K,).
+        quantiles: quantiles of v | y_1:k, (K, len(qs)).
+        densities: density of v | y_1:k at each quantile, (K, len(qs)).
+    """
+
+    log_ml: np.ndarray
+    quantiles: np.ndarray
+    densities: np.ndarray
+
+
+def noise_variance_posterior(a_mat, l_mat, q_mat, h_vec, m0, p0, nu0, s20,
+                             times, ys, n_steps, qs=(0.05, 0.5, 0.95),
+                             n_nodes=16, n_panels=24, span=(-8.0, 10.0)):
+    """Posterior of v in y_k = h x(t_k) + N(0, v), v ~ Inv-chi2(nu0, s20),
+    x the Euler chain of chain_kalman_filter, by quadrature over log v.
+
+    p(v | y_1:k) is proportional to InvChi2(v; nu0, s20) times the chain
+    Kalman marginal likelihood of y_1:k at R = v.  Over w = log v, on
+    [log s20 + span[0], log s20 + span[1]], composite Gauss-Legendre
+    nodes (n_panels panels of n_nodes) integrate it, which gives log
+    p(y_1:k).  Within a panel the degree n_nodes - 1 Legendre
+    interpolant through the nodes, integrated exactly, gives the CDF at
+    any point, so each quantile is a root of a polynomial in one panel.
+    """
+    lo, hi = np.log(s20) + span[0], np.log(s20) + span[1]
+    w, gw = _gauss_legendre(lo, hi, n_nodes, n_panels)
+    log_lik = np.array([np.cumsum(chain_kalman_filter(
+        a_mat, l_mat, q_mat, h_vec, np.exp(w_j), m0, p0, times, ys,
+        n_steps=n_steps).log_ml_increments) for w_j in w])
+    log_post = log_lik + (invchi2_logpdf(np.exp(w), nu0, s20) + w)[:, None]
+    log_ml = special.logsumexp(log_post, b=gw[:, None], axis=0)
+    legendre = np.polynomial.legendre
+    x_ref = legendre.leggauss(n_nodes)[0]
+    half = 0.5 * (hi - lo) / n_panels
+    quantiles, densities = [], []
+    for k in range(len(ys)):
+        dens = np.exp(log_post[:, k] - log_ml[k]).reshape(n_panels, n_nodes)
+        coef = legendre.legfit(x_ref, dens.T, n_nodes - 1)
+        anti = legendre.legint(coef, lbnd=-1.0) * half
+        cum = np.concatenate([[0.0], np.cumsum(legendre.legval(1.0, anti))])
+        row_q, row_d = [], []
+        for q in qs:
+            i = int(np.clip(np.searchsorted(cum, q) - 1, 0, n_panels - 1))
+            xi = optimize.brentq(
+                lambda x: cum[i] + legendre.legval(x, anti[:, i]) - q,
+                -1.0, 1.0, xtol=1e-14)
+            v = np.exp(lo + (2 * i + 1 + xi) * half)
+            row_q.append(v)
+            row_d.append(legendre.legval(xi, coef[:, i]) / v)
+        quantiles.append(row_q)
+        densities.append(row_d)
+    return NoiseVariancePosterior(log_ml, np.array(quantiles),
+                                  np.array(densities))
+
 def epidemic_week1_posterior(d, g, alpha0, beta0, beta_a, beta_b, lam_mean,
                              lam_var, t1=1.0, n_steps=10, n_y=100, n_lam=200,
                              n_panels=4, lam_max=20.0):

@@ -720,10 +720,11 @@ out = %s
 
 
 def test_kernel_error_names_the_step_exits_3(tmp_path, monkeypatch, capsys):
-    # The model's drift turns NaN in the second interval, (0.5, 1]: the
-    # run fails in step 2 and says so.
+    # Each case fails in the second interval, (0.5, 1]: a NaN drift, a
+    # reading of 1e5 at a variance of 1e-300 (every weight vanishes) and
+    # an L that turns 0.  The run fails in step 2 and says so.
     meas = tmp_path / "m.csv"
-    meas.write_text("t,y\n0.5,0.1\n1.0,0.2\n", encoding="utf-8")
+    meas.write_text("t,y\n0.5,0.0\n1.0,1e5\n", encoding="utf-8")
     cfg = write_config(tmp_path / "f.ini", """
 [model]
 kind = ou
@@ -736,19 +737,26 @@ measurements = %s
 out = %s
 """ % (meas, tmp_path / "run"))
     real = sdepf.cli.run_filter
+    nan_drift = lambda x, t: -x if t < 0.5 else np.full(x.shape, np.nan)
+    cases = [
+        ({"drift": nan_drift}, None, "non-finite at t=0.5"),
+        ({}, sdepf.gaussian_measurement(0, 1e-300),
+         "all particle weights vanished at t=1"),
+        ({"dispersion": lambda t: float(t < 0.5)}, None,
+         "dispersion L is singular at t=0.5"),
+    ]
+    for fields, case_meas, message in cases:
+        def failing_run(model, meas_model, fields=fields, case_meas=case_meas,
+                        **kwargs):
+            with np.errstate(over="ignore"):
+                return real(model=dataclasses.replace(model, **fields),
+                            meas_model=case_meas or meas_model, **kwargs)
 
-    def nan_drift_run(model, **kwargs):
-        drift = model.drift
-        model = dataclasses.replace(
-            model, drift=lambda x, t: drift(x, t) if t < 0.5
-            else np.full(x.shape, np.nan))
-        return real(model=model, **kwargs)
-
-    monkeypatch.setattr(sdepf.cli, "run_filter", nan_drift_run)
-    assert sdepf.cli.main(["filter", "--config", cfg]) == 3
-    err = capsys.readouterr().err
-    assert "numerical failure: step 2: " in err
-    assert "non-finite at t=0.5" in err
+        monkeypatch.setattr(sdepf.cli, "run_filter", failing_run)
+        assert sdepf.cli.main(["filter", "--config", cfg]) == 3
+        err = capsys.readouterr().err
+        assert "numerical failure: step 2: " in err
+        assert message in err
 
 
 def test_simulate_numerical_failure_exits_3(tmp_path, capsys):
@@ -805,8 +813,8 @@ out = %s
 """ % (meas, tmp_path / "run"))
     assert sdepf.cli.main(["filter", "--config", cfg]) == 3
     err = capsys.readouterr().err
-    assert "numerical failure: innovation covariance is singular at " \
-        "t=0.5, particle 0 (value " in err
+    assert "numerical failure: step 1: innovation covariance is singular " \
+        "at t=0.5, particle 0 (value " in err
     assert "inverse overflows" in err
 
 

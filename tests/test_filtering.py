@@ -18,7 +18,8 @@ from sdepf import (CondGaussModel, DiffusionSpec, FilterConfig, GaussianBlock,
                    sample_brownian_increments, seed_streams, sir_step,
                    systematic_counts, systematic_resample,
                    systematic_resample_indices)
-from sdepf.exceptions import DegeneracyError, IntegrationError
+from sdepf.exceptions import (DegeneracyError, IntegrationError,
+                              SingularMatrixError)
 from sdepf.filtering import (_theta_quantiles, _uniform_quantile,
                              draw_increments)
 
@@ -32,7 +33,7 @@ def _finish(loglik, llr=None):
     resamples: the one place where weights are normalized and the ESS
     is taken."""
     n = len(loglik)
-    pset = ParticleSet(np.zeros((n, 1)), np.full(n, -np.log(n)), 0)
+    pset = ParticleSet(np.zeros((n, 1)), np.full(n, -np.log(n)))
     return finish_step(pset, pset.states,
                        np.zeros(n) if llr is None else llr,
                        np.asarray(loglik, dtype=float), t=1.0,
@@ -127,16 +128,6 @@ class TestSystematicResampling:
                                           np.random.default_rng(5))
         np.testing.assert_array_equal(idx, np.arange(8))
 
-    def test_resample_keeps_step_index(self):
-        states = np.arange(4.0)[:, None]
-        lw = np.log(np.array([0.94, 0.02, 0.02, 0.02]))
-        pset = ParticleSet(states, lw, 3)
-        out = systematic_resample(pset, np.random.default_rng(1))
-        assert out.step_index == 3
-        # Nearly all offspring come from particle 0.
-        assert np.sum(out.states[:, 0] == 0.0) >= 3
-        np.testing.assert_allclose(np.exp(out.log_weights), 0.25, rtol=1e-12)
-
     def test_noise_does_not_depend_on_resampling(self):
         # One step that never resamples and one that always does must
         # leave the noise generator in the same state.
@@ -146,7 +137,7 @@ class TestSystematicResampling:
         states = np.linspace(-1.0, 1.0, 6)[:, None]
         noise_states = []
         for threshold in (0.0, 1.0):
-            _, noise_rng, resample_rng, _ = seed_streams(8)
+            _, noise_rng, resample_rng, _, _ = seed_streams(8)
             pset = ParticleSet(states, np.full(6, -np.log(6.0)))
             _, st_ = sir_step(pset, model, prior_proposal(model), meas, 0.7,
                               grid, ess_threshold=threshold,
@@ -161,7 +152,7 @@ class TestSystematicResampling:
         gauss = GaussianBlock(np.arange(3.0)[:, None],
                               np.ones((3, 1, 1)))
         stats = np.arange(6.0).reshape(3, 2)
-        pset = ParticleSet(states, lw, 0, gauss, stats)
+        pset = ParticleSet(states, lw, gauss, stats)
         out = systematic_resample(pset, np.random.default_rng(0))
         np.testing.assert_array_equal(out.states[:, 0], [2.0, 2.0, 2.0])
         np.testing.assert_array_equal(out.gauss.mean[:, 0], [2.0, 2.0, 2.0])
@@ -360,7 +351,7 @@ class TestThetaQuantiles:
 
 class TestFinishStep:
     def _uniform_pset(self, n=2):
-        return ParticleSet(np.zeros((n, 1)), np.full(n, -np.log(n)), 0)
+        return ParticleSet(np.zeros((n, 1)), np.full(n, -np.log(n)))
 
     def test_hand_traced_update(self):
         # [DERIVED] uniform prior weights, likelihood factors (1, 3):
@@ -375,8 +366,6 @@ class TestFinishStep:
                                    rtol=1e-14)
         assert st_.ess == pytest.approx(1.6, rel=1e-12)
         assert not st_.resampled
-        assert st_.t == 0.5
-        assert out.step_index == 1
 
     def test_threshold_one_forces_resampling(self):
         pset = self._uniform_pset()
@@ -423,7 +412,7 @@ class TestFinishStep:
         prior, llr, loglik = np.array(rows).T
         lw = prior - logsumexp(prior)
         assert np.all(np.exp(lw + llr + loglik - 1000.0) == 0.0)
-        pset = ParticleSet(np.zeros((prior.size, 1)), lw, 0)
+        pset = ParticleSet(np.zeros((prior.size, 1)), lw)
         ref, st_ref = finish_step(pset, pset.states, llr, loglik, t=1.0,
                                   ess_threshold=0.0)
         out, st_ = finish_step(pset, pset.states, llr, loglik - 1000.0,
@@ -436,32 +425,30 @@ class TestFinishStep:
 
 class TestSeedStreams:
     def test_reproducible_and_distinct(self):
-        # Same seed, same four generators; the four branches differ.
+        # Same seed, same five generators; the five branches differ.
         g1 = seed_streams(42)
         g2 = seed_streams(42)
-        assert len(g1) == 4
+        assert len(g1) == 5
         draws1 = [g.random() for g in g1]
         draws2 = [g.random() for g in g2]
         assert draws1 == draws2
-        assert len(set(np.round(draws1, 12))) == 4
+        assert len(set(np.round(draws1, 12))) == 5
 
     def test_different_seeds_differ(self):
         for a, b in zip(seed_streams(0), seed_streams(1)):
             assert a.random() != b.random()
 
     def test_move_stream_leaves_first_four_unchanged(self):
-        # The resample-move generator is a fifth child; the first four are
-        # still the children 0-3 of SeedSequence(seed).
-        with_moves = seed_streams(42, moves=True)
-        assert len(with_moves) == 5
+        # The resample-move generator is the fifth child; the first four
+        # are the children 0-3 of SeedSequence(seed), as in a tree of four.
+        streams = seed_streams(42)
         children = np.random.SeedSequence(42).spawn(4)
-        for g, plain, child in zip(with_moves, seed_streams(42), children):
-            expected = np.random.default_rng(child).random(3)
-            np.testing.assert_array_equal(g.random(3), expected)
-            np.testing.assert_array_equal(plain.random(3), expected)
-        fifth = with_moves[4].random()
-        assert fifth not in [np.random.default_rng(c).random()
-                             for c in children]
+        for g, child in zip(streams, children):
+            np.testing.assert_array_equal(
+                g.random(3), np.random.default_rng(child).random(3))
+        fifth = np.random.SeedSequence(42).spawn(5)[4]
+        np.testing.assert_array_equal(
+            streams[4].random(3), np.random.default_rng(fifth).random(3))
 
 
 def _ou_setup(n_meas=10, seed=7):
@@ -721,7 +708,6 @@ class TestParticleSetBasics:
         assert pset.states.shape == (5, dim)
         assert pset.n == 5
         np.testing.assert_allclose(np.exp(pset.log_weights), 0.2, rtol=1e-12)
-        assert pset.step_index == 0
         rng = np.random.default_rng(3)
         ref = np.stack([np.asarray(sampler(rng), dtype=float)
                         for _ in range(5)]).reshape(5, dim)
@@ -736,14 +722,14 @@ class TestParticleSetBasics:
                               np.random.default_rng(3), len(sizes))
 
     def test_weights_property(self):
-        pset = ParticleSet(np.zeros((3, 1)), np.log([0.2, 0.3, 0.5]), 0)
+        pset = ParticleSet(np.zeros((3, 1)), np.log([0.2, 0.3, 0.5]))
         np.testing.assert_allclose(pset.weights, [0.2, 0.3, 0.5], rtol=1e-14)
 
     def test_take_slices_all_fields(self):
         gauss = GaussianBlock(np.arange(4.0)[:, None], np.ones((4, 1, 1)))
         stats = np.arange(8.0).reshape(4, 2)
         pset = ParticleSet(np.arange(4.0)[:, None], np.full(4, -np.log(4.0)),
-                           2, gauss, stats)
+                           gauss, stats)
         sub = pset.take(slice(1, 3))
         assert sub.n == 2
         np.testing.assert_array_equal(sub.states[:, 0], [1.0, 2.0])
@@ -985,21 +971,51 @@ class TestRunFilterEdgeCases:
                        gaussian_measurement(0, obs_var), times, ys,
                        FilterConfig(n_particles=4, n_steps=2))
 
+    @pytest.mark.parametrize("method", ["sir", "rb_gauss"])
+    def test_initial_state_width_must_match_the_model(self, method):
+        # A sampler drawing 2 components for a 1-d OU model ran under the
+        # bootstrap proposal, broadcasting the 1x1 L's increment onto
+        # both; rb_gauss's states must hold dim_det + dim_stoch.
+        if method == "sir":
+            model, times, ys, _ = _ou_setup(n_meas=2)
+            meas = gaussian_measurement(0, 0.25)
+        else:
+            model, _, meas, times, ys, _ = _method_case("rb_gauss")
+        model = dataclasses.replace(
+            model, initial_sampler=lambda g: g.standard_normal(2))
+        with pytest.raises(ValueError, match=r"initial states: shape "
+                           r"\(4, 2\), but the model's dimensions need "
+                           r"\(4, 1\)"):
+            run_filter(model, prior_proposal(model), meas, times, ys,
+                       FilterConfig(n_particles=4, n_steps=2), method=method)
+
     @pytest.mark.parametrize("threads", [1, 2])
     def test_kernel_error_names_the_step(self, threads):
-        # The drift turns NaN in the second interval, (0.5, 1]: the
-        # IntegrationError names that step as well as the time.
+        # Each case fails in the second interval, (0.5, 1]: run_filter
+        # names that step, and the error keeps its type and names the
+        # time.  A NaN drift fails the kernel; a variance of 1e-300 and
+        # a reading of 1e5 make every weight vanish; an L that turns 0
+        # fails its inverse (which named no step before).
         model, _, _, (rate, _, obs_var) = _ou_setup(n_meas=2)
-        model = dataclasses.replace(
-            model, drift=lambda x, t: -rate * x if t < 0.5
-            else np.full(x.shape, np.nan))
-        proposal = ImportanceSpec(drift=lambda x, t: -x)
-        with pytest.raises(IntegrationError, match=r"^step 2: drift became "
-                                                   r"non-finite at t=0\.5$"):
-            run_filter(model, proposal, gaussian_measurement(0, obs_var),
-                       [0.5, 1.0], [0.1, 0.2],
-                       FilterConfig(n_particles=20, n_steps=2,
-                                    threads=threads))
+        meas = gaussian_measurement(0, obs_var)
+        cases = [
+            (dataclasses.replace(model, drift=lambda x, t: -rate * x
+                                 if t < 0.5 else np.full(x.shape, np.nan)),
+             meas, [0.1, 0.2], IntegrationError,
+             "drift became non-finite at t=0.5"),
+            (model, gaussian_measurement(0, 1e-300), [0.0, 1e5],
+             DegeneracyError, "all particle weights vanished at t=1"),
+            (dataclasses.replace(model, dispersion=lambda t: float(t < 0.5)),
+             meas, [0.1, 0.2], SingularMatrixError,
+             r"dispersion L is singular at t=0\.5 \(value 0\)"),
+        ]
+        for case_model, case_meas, ys, error, message in cases:
+            with pytest.raises(error, match=r"^step 2: %s$" % message), \
+                    np.errstate(over="ignore"):
+                run_filter(case_model, ImportanceSpec(drift=lambda x, t: -x),
+                           case_meas, [0.5, 1.0], ys,
+                           FilterConfig(n_particles=20, n_steps=2,
+                                        threads=threads))
 
     @pytest.mark.parametrize("method", METHODS)
     def test_threshold_zero_never_resamples(self, method):

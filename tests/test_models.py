@@ -80,7 +80,7 @@ class TestPendulumPieces:
         builder = pendulum_bridge_builder(1.0, 0.01,
                                           lambda pset: np.full(pset.n, 0.25))
         states = np.tile([1.4, 0.1], (6, 1))
-        pset = ParticleSet(states, np.full(6, -np.log(6.0)), 0)
+        pset = ParticleSet(states, np.full(6, -np.log(6.0)))
         imp = builder(pset, TimeGrid(0.0, 0.1, 5), 1.3)
         g = imp.drift(None, states[:, 1:], 0.0)
         assert g.shape == (6, 1)
@@ -208,7 +208,7 @@ class TestEpidemicBridge:
     def _pset(self, lam):
         states = np.tile([0.9, 0.05, lam], (4, 1))
         fam = gamma_poisson_family(10.0, 0.001)
-        return ParticleSet(states, np.full(4, -np.log(4.0)), 0,
+        return ParticleSet(states, np.full(4, -np.log(4.0)),
                            stats=fam.init_stats(4)), fam
 
     def test_drift_sign_follows_the_count(self):
@@ -244,7 +244,7 @@ class TestBridgeRecipe:
         grid = TimeGrid(0.0, 1.0, 10)
         if kind == "ou":
             states = rng.normal(0.0, 2.0, (6, 1))
-            pset = ParticleSet(states, np.full(6, -np.log(6.0)), 0)
+            pset = ParticleSet(states, np.full(6, -np.log(6.0)))
             mom = ekf_predict(states, lambda x, t: (
                 -0.6 * x, np.full(x.shape + (1,), -0.6)),
                 np.array([[0.8]]), grid)
@@ -254,7 +254,7 @@ class TestBridgeRecipe:
         if kind == "pendulum":
             states = rng.normal(0.0, 1.0, (6, 2))
             r = 0.1 + 0.05 * np.arange(6)
-            pset = ParticleSet(states, np.full(6, -np.log(6.0)), 0)
+            pset = ParticleSet(states, np.full(6, -np.log(6.0)))
             drift, jac = pendulum_drift(1.2), pendulum_jacobian(1.2)
             mom = ekf_predict(states, lambda x, t: (drift(x, t), jac(x, t)),
                               np.diag([0.0, 0.05]), grid)
@@ -265,7 +265,7 @@ class TestBridgeRecipe:
                                   rng.uniform(-0.1, 0.3, 6),
                                   rng.normal(1.0, 2.0, 6)])
         fam = gamma_poisson_family(10.0, 0.001)
-        pset = ParticleSet(states, np.full(6, -np.log(6.0)), 0,
+        pset = ParticleSet(states, np.full(6, -np.log(6.0)),
                            stats=fam.init_stats(6))
 
         def boxed(x):
@@ -308,7 +308,7 @@ class TestEpidemicPredict:
             0.05 + 0.01 * rng.random(8),
             np.log(1.6) + 0.05 * rng.standard_normal(8)])
         stats = np.tile([500.0, 0.005], (8, 1))
-        return ParticleSet(states, np.full(8, -np.log(8.0)), 0,
+        return ParticleSet(states, np.full(8, -np.log(8.0)),
                            stats=stats)
 
     def test_shapes_and_ranges(self):

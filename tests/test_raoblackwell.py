@@ -12,9 +12,10 @@ from scipy import stats as sps
 
 from sdepf import (CondGaussModel, FilterConfig, GaussianBlock, ImportanceSpec,
                    ParticleSet, SdeModel, SplitSdeModel, TimeGrid,
-                   eval_mixture, gamma_poisson_family, invchi2_family,
-                   models, prior_proposal, propagate_coupled_split,
-                   repair_cov, run_filter, seed_streams)
+                   eval_mixture, gamma_poisson_family, integrate_sde,
+                   invchi2_family, models, prior_proposal,
+                   propagate_coupled_split, repair_cov, run_filter,
+                   sample_brownian_increments, seed_streams)
 from sdepf.filtering import draw_increments
 from sdepf.exceptions import IntegrationError
 from sdepf.proposals import ekf_condition
@@ -22,7 +23,7 @@ import sdepf.raoblackwell as rb
 from sdepf.raoblackwell import rb_param_step, replay_path
 
 from oracles import (epidemic_week1_posterior, gamma_poisson_marginal_quad,
-                     invchi2_marginal_quad)
+                     invchi2_marginal_quad, noise_variance_posterior)
 
 
 def _kalman_update(block, h_mat, r_mat, y):
@@ -567,7 +568,7 @@ class TestEvalMixture:
         gauss = GaussianBlock(np.array([[0.0], [2.0]]),
                               np.array([[[1.0]], [[4.0]]]))
         lw = np.log([0.3, 0.7])
-        pset = ParticleSet(np.zeros((2, 1)), lw, 0, gauss)
+        pset = ParticleSet(np.zeros((2, 1)), lw, gauss)
         expected = (0.3 * sps.norm.pdf(0.0, 0.0, 1.0)
                     + 0.7 * sps.norm.pdf(0.0, 2.0, 2.0))
         assert eval_mixture(pset, 0.0) == pytest.approx(expected, rel=1e-12)
@@ -579,7 +580,7 @@ class TestEvalMixture:
         # [DERIVED] standard normal density at 0 is
         # 1/sqrt(2 pi) = 0.3989422804014327.
         gauss = GaussianBlock(np.zeros((1, 1)), np.ones((1, 1, 1)))
-        pset = ParticleSet(np.zeros((1, 1)), np.zeros(1), 0, gauss)
+        pset = ParticleSet(np.zeros((1, 1)), np.zeros(1), gauss)
         assert eval_mixture(pset, 0.0) == pytest.approx(0.3989422804014327,
                                                         rel=1e-13)
 
@@ -600,10 +601,10 @@ class TestRbParam:
         # they were before this measurement.
         model = self._static_model()
         fam = invchi2_family(2.0, 0.2)
-        _, noise_rng, _, _ = seed_streams(0)
+        _, noise_rng, _, _, _ = seed_streams(0)
         states = np.array([[0.0, 0.0], [0.0, 1.0]])
         stats = np.array([[2.0, 0.2], [50.0, 1.0]])
-        pset = ParticleSet(states, np.full(2, -np.log(2.0)), 0,
+        pset = ParticleSet(states, np.full(2, -np.log(2.0)),
                            stats=stats)
         grid = TimeGrid(0.0, 1.0, 2)
         y = 0.5
@@ -651,6 +652,66 @@ class TestRbParam:
         est = fam.mean(fam.init_stats(4))
         assert np.all(np.isnan(est))
 
+
+
+class TestRbParamExactPosterior:
+    """rb_param on OU observed as y = x + N(0, v), v ~ Inv-chi2(nu0, s20),
+    against the exact posterior of v and the exact log marginal after
+    every reading (tests/oracles.py:noise_variance_posterior).
+
+    z-scores: a quantile estimate q' of q_p scores (q' - q_p) f(q_p) /
+    sqrt(p (1 - p) / ESS_k), f the exact density and ESS_k the step's;
+    the log marginal scores as in kalman_z_scores, at every step.  Each
+    is averaged over the SEEDS runs, and the largest |mean| over steps
+    (and p) is gated.  Over 25 sets of four seeds (filter seeds 0-99) on
+    these readings the largest was 1.71 for the quantiles and 0.98 for
+    the log marginal; the limits keep a margin of 1.75x and 2x.  A
+    filter that skips the family update of any one of the ten steps
+    scores 3.9 (the last step) to 25 (the first) on the quantiles.
+    """
+
+    RATE, Q, V_TRUE, NU0, S20 = 1.0, 0.8, 0.25, 3.0, 0.25
+    DT, N_MEAS, N_STEPS, N = 0.5, 10, 4, 20000
+    SEEDS = (0, 1, 2, 3)
+    Z_THETA, Z_LOG_ML = 3.0, 2.0
+
+    def test_theta_quantiles_and_log_ml_match_quadrature(self):
+        model = SdeModel(1, 1, lambda x, t: -self.RATE * x, 1.0, self.Q,
+                         initial_sampler=lambda g: g.standard_normal(1))
+        rng = np.random.default_rng(4)
+        grid = TimeGrid(0.0, self.N_MEAS * self.DT,
+                        self.N_MEAS * self.N_STEPS)
+        path = integrate_sde(model, rng.standard_normal(1), grid,
+                             sample_brownian_increments(grid, model.diffusion,
+                                                        rng))
+        idx = np.arange(1, self.N_MEAS + 1) * self.N_STEPS
+        times = grid.times[idx]
+        ys = path[idx, 0] + math.sqrt(self.V_TRUE) \
+            * rng.standard_normal(self.N_MEAS)
+        qs = np.array([0.05, 0.5, 0.95])
+        exact = noise_variance_posterior(
+            [[-self.RATE]], [[1.0]], [[self.Q]], [1.0], [0.0], [[1.0]],
+            self.NU0, self.S20, times, ys, self.N_STEPS, qs=qs)
+        z_theta, z_ml = [], []
+        for seed in self.SEEDS:
+            res = run_filter(model, prior_proposal(model), None, times, ys,
+                             FilterConfig(n_particles=self.N,
+                                          n_steps=self.N_STEPS, seed=seed),
+                             method="rb_param",
+                             family=invchi2_family(self.NU0, self.S20))
+            rows = res.summaries[1:]
+            ess = np.array([r.ess for r in rows])
+            est = np.array([[r.extra[key] for key in
+                             ("theta_q05", "theta_q50", "theta_q95")]
+                            for r in rows])
+            z_theta.append((est - exact.quantiles) * exact.densities
+                           / np.sqrt(qs * (1.0 - qs) / ess[:, None]))
+            z_ml.append((np.array([r.log_marginal for r in rows])
+                         - exact.log_ml) / np.sqrt(np.cumsum(1.0 / ess)))
+        z_theta = np.max(np.abs(np.mean(z_theta, axis=0)))
+        z_ml = np.max(np.abs(np.mean(z_ml, axis=0)))
+        assert z_theta <= self.Z_THETA and z_ml <= self.Z_LOG_ML, \
+            (z_theta, z_ml)
 
 def _epidemic_case(alpha0=10.0, beta0=0.001):
     """Seed 0 of the epidemic acceptance study (criterion 7): its data,
@@ -809,6 +870,24 @@ class TestCondGaussModelCoercion:
         assert model.diffusion.at(0.0)[0, 0] == 0.4
         assert model.lin_diffusion.at(0.0)[0, 0] == 0.3
         assert model.dispersion.at(0.0)[0, 0] == 1.0
+
+    @pytest.mark.parametrize("field, value, match", [
+        ("meas_matrix", np.array([[1.0, 0.0]]), r"H: shape \(1, 2\), but "
+         r"the model's dimensions need \(1, 1\)"),
+        ("init_gauss", (np.zeros(2), np.eye(2)), r"init_gauss \(m0, P0\): "
+         r"shape \(\(2,\), \(2, 2\)\), but the model's dimensions need "
+         r"\(\(1,\), \(1, 1\)\)"),
+        ("dispersion", np.eye(2), r"dispersion L: shape \(2, 2\)"),
+    ], ids=["H", "init_gauss", "L"])
+    def test_shapes_must_match_the_dimensions(self, field, value, match):
+        with pytest.raises(ValueError, match=match):
+            dataclasses.replace(_decoupled_cond_model(), **{field: value})
+
+    def test_init_gauss_is_stored_as_mean_and_matrix(self):
+        model = dataclasses.replace(_decoupled_cond_model(),
+                                    init_gauss=([0.7], 0.9))
+        assert model.init_gauss[0].shape == (1,)
+        assert model.init_gauss[1].tolist() == [[0.9]]
 
     def test_split_with_empty_deterministic_block(self):
         model = _decoupled_cond_model()

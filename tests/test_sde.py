@@ -294,6 +294,36 @@ class TestSplitModel:
                           1.0, 1.0)
 
 
+class TestDeclaredDimensions:
+    """A constant L or Q that does not fit dim_state, dim_stoch and
+    dim_noise is refused when the model is built, naming both shapes.
+    Before, a 1x1 L served any declared dimensions: (1, 2) ran until
+    resample-move's path record failed to concatenate its noise, and
+    (5, 3) filtered a 1-d model."""
+
+    @pytest.mark.parametrize("dims, l_val, q_val, match", [
+        ((1, 2), 1.0, 0.8, r"dispersion L: shape \(1, 1\), but the model's "
+         r"dimensions need \(1, 2\)"),
+        ((5, 3), 1.0, 0.8, r"dispersion L: shape \(1, 1\), but the model's "
+         r"dimensions need \(5, 3\)"),
+        ((2, 2), np.eye(2), 0.8, r"diffusion Q: shape \(1, 1\), but the "
+         r"model's dimensions need \(2, 2\)"),
+    ], ids=["noise_1x2", "state_5x3", "q_1x1_for_2"])
+    def test_plain_model(self, dims, l_val, q_val, match):
+        with pytest.raises(ValueError, match=match):
+            SdeModel(*dims, lambda x, t: -x, l_val, q_val)
+
+    def test_split_model_checks_the_stochastic_block(self):
+        with pytest.raises(ValueError, match=r"dispersion L: shape \(1, 1\)"
+                                             r".* need \(2, 2\)"):
+            SplitSdeModel(1, 2, 2, lambda x1, x2, t: x2[..., :1],
+                          lambda x1, x2, t: -x2, 1.0, np.eye(2))
+
+    def test_callable_values_are_not_evaluated(self):
+        # A callable L or Q is only read at run time.
+        SdeModel(1, 2, lambda x, t: -x, lambda t: 1.0, lambda t: 0.8)
+
+
 @settings(max_examples=25, deadline=None)
 @given(n_steps=st.integers(min_value=1, max_value=40),
        t0=st.floats(min_value=-5.0, max_value=5.0),
